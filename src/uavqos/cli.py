@@ -12,31 +12,7 @@ import yaml
 
 from .engine import SimulationContractError, run
 from .output import emit
-from .scenario import (
-    BUILTIN_SCENARIOS,
-    ConfigError,
-    builtin_config_path,
-    load_config,
-    parse_config,
-)
-
-
-def _resolve_config_path(name_or_path: str) -> Path:
-    p = Path(name_or_path)
-    if p.exists():
-        return p
-    if name_or_path in BUILTIN_SCENARIOS:
-        return builtin_config_path(name_or_path)
-    raise ConfigError(f"{name_or_path}: not a file and not a bundled "
-                      f"scenario ({', '.join(BUILTIN_SCENARIOS)})")
-
-
-def _load_raw(path: Path) -> dict:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    return raw
+from .scenario import ConfigError, parse_config, read_config
 
 
 def _apply_overrides(raw: dict, seed, mode) -> dict:
@@ -89,8 +65,8 @@ def _sweep_worker(args):
 
 
 def cmd_run(args) -> int:
-    path = _resolve_config_path(args.config)
-    raw = _apply_overrides(_load_raw(path), args.seed, args.mode)
+    raw, path = read_config(args.config)
+    raw = _apply_overrides(raw, args.seed, args.mode)
     formats = tuple(args.format.split(","))
     summary = _run_one(raw, path.name, args.out, formats)
     _print_summary(summary)
@@ -98,17 +74,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = _resolve_config_path(args.config)
-    cfg = load_config(path)
+    raw, path = read_config(args.config)
+    cfg = parse_config(raw, label=path.name)
     print(f"{path}: ok (scenario {cfg.name!r}, {cfg.duration_ms:.0f} ms, "
           f"qos={cfg.qos})")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    path = _resolve_config_path(args.config)
-    base = _apply_overrides(_load_raw(path), args.seed, args.mode)
-    values = [yaml.safe_load(v) for v in args.values.split(",")]
+    raw, _ = read_config(args.config)
+    base = _apply_overrides(raw, args.seed, args.mode)
+    try:
+        values = [yaml.safe_load(v) for v in args.values.split(",")]
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"--values: YAML parse error: {exc}") from exc
     jobs = []
     for value in values:
         raw = copy.deepcopy(base)

@@ -31,7 +31,6 @@ from .fsm import (
 )
 from .plant import (
     CircularReference,
-    ControllerConfig,
     PlantState,
     controller_tick,
     onboard_fallback_tick,
@@ -44,13 +43,11 @@ from .scheduler import (
     CONTROL_STATE,
     DOWNLINK,
     UPLINK,
-    LinkConfig,
     set_priority,
 )
 from .sensing import (
     LatencyWindows,
     RiskState,
-    SigmoidParams,
     clutter_prob,
     latency_condition,
     risk_update,
@@ -117,13 +114,8 @@ class Simulation:
         root = np.random.default_rng(config.seed)
         self.rng_env, self.rng_pfsm, self.rng_jitter = root.spawn(3)
 
-        ul = LinkConfig(config.uplink.capacity_bps, config.uplink.tti_ms,
-                        config.uplink.base_delay_ms,
-                        config.uplink.buffer_cap_bits)
-        dl = LinkConfig(config.downlink.capacity_bps, config.downlink.tti_ms,
-                        config.downlink.base_delay_ms,
-                        config.downlink.buffer_cap_bits)
-        self.cell = CellModel(ul, dl, jitter_ms=config.jitter_ms,
+        self.cell = CellModel(config.uplink, config.downlink,
+                              jitter_ms=config.jitter_ms,
                               jitter_rng=self.rng_jitter
                               if config.jitter_ms > 0 else None)
         self.cell.outages = list(config.link_outages_ms)
@@ -156,10 +148,6 @@ class Simulation:
             self.cell.attach_source(self.camera, self.uav_flow)
 
         pc = config.plant
-        self.ctrl_cfg = ControllerConfig(
-            period_ms=pc.period_ms, kp=pc.kp, kd=pc.kd,
-            command_limit=pc.command_limit, plant_dt_ms=pc.plant_dt_ms,
-            divergence_threshold_m=pc.divergence_threshold_m)
         self.reference = CircularReference(pc.circle_radius_m,
                                            pc.circle_period_s,
                                            pc.circle_altitude_m)
@@ -167,15 +155,6 @@ class Simulation:
                                 velocity=self.reference.velocity(0.0),
                                 reference=self.reference.position(0.0))
 
-        self.cam_sig = SigmoidParams(pf.cam_sigmoid.steepness,
-                                     pf.cam_sigmoid.midpoint,
-                                     pf.latency_threshold)
-        self.cc_sig = SigmoidParams(pf.cc_sigmoid.steepness,
-                                    pf.cc_sigmoid.midpoint,
-                                    pf.latency_threshold)
-        self.cs_sig = SigmoidParams(pf.risk_sigmoid.steepness,
-                                    pf.risk_sigmoid.midpoint,
-                                    pf.clutter_threshold)
         self.windows = LatencyWindows(pf.cam_window, pf.cc_window,
                                       pf.cam_weight, pf.cc_weight)
         self.risk = RiskState(alpha=pf.ema_alpha, beta=pf.ema_beta)
@@ -309,12 +288,12 @@ class Simulation:
                     cmd = self.applied_cmd
                 else:
                     self.plant.reference = self.hold_point
-                    cmd = onboard_fallback_tick(self.plant, self.ctrl_cfg)
+                    cmd = onboard_fallback_tick(self.plant, cfg.plant)
                 plant_step(self.plant, cmd, cfg.plant.plant_dt_ms)
                 self.max_tracking_error = max(self.max_tracking_error,
                                               self.plant.tracking_error)
                 if self.plant.tracking_error > \
-                        self.ctrl_cfg.divergence_threshold_m or \
+                        cfg.plant.divergence_threshold_m or \
                         not np.isfinite(self.plant.position).all():
                     self.diverged_at = t
 
@@ -323,7 +302,7 @@ class Simulation:
                 delayed = PlantState(position=pos, velocity=vel,
                                      reference=self.reference.position(t))
                 self.edge_cmd = controller_tick(
-                    delayed, self.ctrl_cfg,
+                    delayed, cfg.plant,
                     ref_velocity=self.reference.velocity(t))
 
             for arrival, pkt, direction in self.cell.step(tti):
@@ -402,8 +381,8 @@ class Simulation:
         t2 = window_mean(self.windows.cc_window)
         if t1 is not None and t2 is not None:
             self.p_lat = latency_condition(t1, t2, self.windows,
-                                           self.cam_sig, self.cc_sig)
-        self.p_cs = clutter_prob(self.risk.s, self.cs_sig)
+                                           pf.cam_sigmoid, pf.cc_sigmoid)
+        self.p_cs = clutter_prob(self.risk.s, pf.risk_sigmoid)
         link_ok = (t - self.last_rtt_arrival) <= pf.link_lost_timeout_ms
         at_floor = self.camera is not None and \
             self.cam_rate_req <= pf.rate_floor_bps

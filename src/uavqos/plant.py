@@ -11,7 +11,7 @@ that holds position when offloading is abandoned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -25,12 +25,14 @@ class ControllerConfig:
     command_limit: float = 5.0     # m/s^2, Euclidean clamp
     plant_dt_ms: float = 10.0
     divergence_threshold_m: float = 10.0
+    circle_radius_m: float = 1.0   # mission reference (CircularReference)
+    circle_period_s: float = 20.0
+    circle_altitude_m: float = 1.0
 
     def __post_init__(self):
-        if self.period_ms <= 0 or self.plant_dt_ms <= 0:
-            raise ValueError("controller and plant periods must be positive")
-        if self.kp <= 0 or self.kd <= 0:
-            raise ValueError("gains must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass

@@ -1,19 +1,28 @@
 """Declarative scenario configuration.
 
 A scenario is a YAML document with nested sections mirroring the dataclass
-tree below. The loader applies defaults, rejects unknown keys, and reports
-violations with the offending key path.
+tree below; the links, sigmoids and plant load straight into the engine's
+own types. One generic loader applies defaults, rejects unknown keys and
+non-finite numbers, checks the bounds declared in field metadata or by a
+type's `__post_init__`, and reports violations with the offending key path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import yaml
+
+from .plant import ControllerConfig
+from .scheduler import LinkConfig
+from .sensing import SigmoidParams
 
 CBR_FRAMES = "cbr_frames"
 PERIODIC_SMALL = "periodic_small"
@@ -29,95 +38,82 @@ class ConfigError(Exception):
     """Configuration rejected; the message carries the key path."""
 
 
-@dataclass
-class LinkSpec:
-    capacity_bps: float
-    tti_ms: float = 0.5
-    base_delay_ms: float = 13.65
-    buffer_cap_bits: Optional[float] = None
+# per-field bounds, read by the loader from field metadata
+POSITIVE = {"check": (lambda v: v > 0, "must be positive")}
+NON_NEGATIVE = {"check": (lambda v: v >= 0, "must be non-negative")}
+UNIT_INTERVAL = {"check": (lambda v: 0 < v < 1, "must lie in (0, 1)")}
+NON_EMPTY = {"check": (len, "must not be empty")}
 
 
-@dataclass
-class SigmoidSpec:
-    steepness: float
-    midpoint: float
+def _one_of(*choices):
+    return {"check": (lambda v: v in choices, f"must be one of {choices}")}
 
 
 @dataclass
 class SourceConfig:
-    kind: str
-    rate_bps: float
-    frame_hz: float = 30.0
-    packet_bits: int = 12_000
+    kind: str = field(metadata=_one_of(CBR_FRAMES, PERIODIC_SMALL,
+                                       ONOFF_BACKGROUND))
+    rate_bps: float = field(metadata=POSITIVE)
+    frame_hz: float = field(default=30.0, metadata=POSITIVE)
+    packet_bits: int = field(default=12_000, metadata=POSITIVE)
     active_window_ms: Optional[tuple[float, float]] = None
-    floor_bps: float = 5e6
+    floor_bps: float = field(default=5e6, metadata=POSITIVE)
 
 
 @dataclass
 class PfsmConfig:
-    cam_sigmoid: SigmoidSpec = field(
-        default_factory=lambda: SigmoidSpec(3.0, 61.0))
-    cc_sigmoid: SigmoidSpec = field(
-        default_factory=lambda: SigmoidSpec(5.0, 27.0))
-    risk_sigmoid: SigmoidSpec = field(
-        default_factory=lambda: SigmoidSpec(5.0, 3.0))
+    cam_sigmoid: SigmoidParams = field(
+        default_factory=lambda: SigmoidParams(3.0, 61.0))
+    cc_sigmoid: SigmoidParams = field(
+        default_factory=lambda: SigmoidParams(5.0, 27.0))
+    risk_sigmoid: SigmoidParams = field(
+        default_factory=lambda: SigmoidParams(5.0, 3.0))
     cam_weight: float = 0.35
     cc_weight: float = 0.65
-    cam_window: int = 10
-    cc_window: int = 50
-    latency_threshold: float = 0.75
-    clutter_threshold: float = 0.5
+    cam_window: int = field(default=10, metadata=POSITIVE)
+    cc_window: int = field(default=50, metadata=POSITIVE)
+    latency_threshold: float = field(default=0.75, metadata=UNIT_INTERVAL)
+    clutter_threshold: float = field(default=0.5, metadata=UNIT_INTERVAL)
     ema_alpha: float = 0.8
     ema_beta: float = 0.2
-    eval_period_ms: float = 100.0
-    hl_persist_evals: int = 2
-    escalation_grace_evals: int = 10
-    link_lost_timeout_ms: float = 500.0
-    rate_adapt_period_ms: float = 1000.0
-    rate_adapt_factor: float = 0.8
-    rate_floor_bps: float = 5e6
-    qos_slope: float = 8.0
-    default_slope: float = 1.0
-    mode: str = "deterministic"
+    eval_period_ms: float = field(default=100.0, metadata=POSITIVE)
+    hl_persist_evals: int = field(default=2, metadata=POSITIVE)
+    escalation_grace_evals: int = field(default=10, metadata=NON_NEGATIVE)
+    link_lost_timeout_ms: float = field(default=500.0, metadata=POSITIVE)
+    rate_adapt_period_ms: float = field(default=1000.0, metadata=POSITIVE)
+    rate_adapt_factor: float = field(default=0.8, metadata=UNIT_INTERVAL)
+    rate_floor_bps: float = field(default=5e6, metadata=POSITIVE)
+    qos_slope: float = field(default=8.0, metadata=POSITIVE)
+    default_slope: float = field(default=1.0, metadata=POSITIVE)
+    mode: str = field(default="deterministic",
+                      metadata=_one_of("deterministic", "stochastic"))
 
 
 @dataclass
 class EnvironmentSegment:
-    spaciousness_m: float
-    until_ms: float = math.inf
-    noise_std: float = 0.0
-
-
-@dataclass
-class PlantSpec:
-    period_ms: float = 50.0
-    kp: float = 4.0
-    kd: float = 3.0
-    command_limit: float = 5.0
-    plant_dt_ms: float = 10.0
-    divergence_threshold_m: float = 10.0
-    circle_radius_m: float = 1.0
-    circle_period_s: float = 20.0
-    circle_altitude_m: float = 1.0
+    spaciousness_m: float = field(metadata=POSITIVE)
+    until_ms: float = field(default=math.inf, metadata=POSITIVE)
+    noise_std: float = field(default=0.0, metadata=NON_NEGATIVE)
 
 
 @dataclass
 class ScenarioConfig:
     name: str
-    duration_ms: float
-    qos: str
-    uplink: LinkSpec
-    downlink: LinkSpec
-    uav_sources: list[SourceConfig]
+    duration_ms: float = field(metadata=POSITIVE)
+    qos: str = field(metadata=_one_of(*QOS_MODES))
+    uplink: LinkConfig
+    downlink: LinkConfig
+    uav_sources: list[SourceConfig] = field(metadata=NON_EMPTY)
     background: Optional[SourceConfig] = None
-    seed: int = 0
-    reporting_interval_ms: float = 100.0
-    command_packet_bits: int = 2000
-    jitter_ms: float = 0.0
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
+    reporting_interval_ms: float = field(default=100.0, metadata=POSITIVE)
+    command_packet_bits: int = field(default=2000, metadata=POSITIVE)
+    jitter_ms: float = field(default=0.0, metadata=NON_NEGATIVE)
     pfsm: PfsmConfig = field(default_factory=PfsmConfig)
     environment: list[EnvironmentSegment] = field(
-        default_factory=lambda: [EnvironmentSegment(spaciousness_m=10.0)])
-    plant: PlantSpec = field(default_factory=PlantSpec)
+        default_factory=lambda: [EnvironmentSegment(spaciousness_m=10.0)],
+        metadata=NON_EMPTY)
+    plant: ControllerConfig = field(default_factory=ControllerConfig)
     link_outages_ms: list[tuple[float, float]] = field(default_factory=list)
 
     @property
@@ -136,253 +132,128 @@ class ScenarioConfig:
                           "is required")
 
 
-def _check_keys(data: dict, allowed, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-
-
-def _number(data, key, path, default=None, required=False, positive=False,
-            non_negative=False):
-    if key not in data or data[key] is None:
-        if required:
-            raise ConfigError(f"{path}.{key}: required key missing")
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    v = float(v)
-    if positive and v <= 0:
-        raise ConfigError(f"{path}.{key}: must be positive, got {v}")
-    if non_negative and v < 0:
-        raise ConfigError(f"{path}.{key}: must be non-negative, got {v}")
-    return v
-
-
-def _window(data, key, path, default=None):
-    if key not in data or data[key] is None:
-        return default
-    v = data[key]
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(f"{path}.{key}: expected [start_ms, end_ms]")
-    a, b = float(v[0]), float(v[1])
-    if not a < b:
-        raise ConfigError(f"{path}.{key}: window start must precede end")
-    return (a, b)
-
-
-def _parse_link(data, path) -> LinkSpec:
-    _check_keys(data, ("capacity_bps", "tti_ms", "base_delay_ms",
-                       "buffer_cap_bits"), path)
-    return LinkSpec(
-        capacity_bps=_number(data, "capacity_bps", path, required=True,
-                             positive=True),
-        tti_ms=_number(data, "tti_ms", path, 0.5, positive=True),
-        base_delay_ms=_number(data, "base_delay_ms", path, 13.65,
-                              non_negative=True),
-        buffer_cap_bits=_number(data, "buffer_cap_bits", path, None,
-                                positive=True),
-    )
-
-
-def _parse_sigmoid(data, path) -> SigmoidSpec:
-    _check_keys(data, ("steepness", "midpoint"), path)
-    return SigmoidSpec(
-        steepness=_number(data, "steepness", path, required=True,
-                          positive=True),
-        midpoint=_number(data, "midpoint", path, required=True),
-    )
-
-
-def _parse_source(data, path) -> SourceConfig:
-    _check_keys(data, ("kind", "rate_bps", "frame_hz", "packet_bits",
-                       "active_window_ms", "floor_bps"), path)
-    kind = data.get("kind")
-    if kind not in (CBR_FRAMES, PERIODIC_SMALL, ONOFF_BACKGROUND):
-        raise ConfigError(f"{path}.kind: unknown source kind {kind!r}")
-    src = SourceConfig(
-        kind=kind,
-        rate_bps=_number(data, "rate_bps", path, required=True,
-                         positive=True),
-        frame_hz=_number(data, "frame_hz", path, 30.0, positive=True),
-        packet_bits=int(_number(data, "packet_bits", path, 12_000,
-                                positive=True)),
-        active_window_ms=_window(data, "active_window_ms", path),
-        floor_bps=_number(data, "floor_bps", path, 5e6, positive=True),
-    )
-    if src.kind == PERIODIC_SMALL and src.rate_bps % 1 == 0 and \
-            src.rate_bps < src.packet_bits:
-        raise ConfigError(f"{path}: periodic rate below one packet per second")
-    return src
-
-
-def _parse_pfsm(data, path) -> PfsmConfig:
-    allowed = ("cam_sigmoid", "cc_sigmoid", "risk_sigmoid", "cam_weight",
-               "cc_weight", "cam_window", "cc_window", "latency_threshold",
-               "clutter_threshold", "ema_alpha", "ema_beta", "eval_period_ms",
-               "hl_persist_evals", "escalation_grace_evals",
-               "link_lost_timeout_ms", "rate_adapt_period_ms",
-               "rate_adapt_factor", "rate_floor_bps", "qos_slope",
-               "default_slope", "mode")
-    _check_keys(data, allowed, path)
-    cfg = PfsmConfig()
-    for key in ("cam_sigmoid", "cc_sigmoid", "risk_sigmoid"):
-        if key in data:
-            setattr(cfg, key, _parse_sigmoid(data[key], f"{path}.{key}"))
-    cfg.cam_weight = _number(data, "cam_weight", path, cfg.cam_weight)
-    cfg.cc_weight = _number(data, "cc_weight", path, cfg.cc_weight)
-    cfg.cam_window = int(_number(data, "cam_window", path, cfg.cam_window,
-                                 positive=True))
-    cfg.cc_window = int(_number(data, "cc_window", path, cfg.cc_window,
-                                positive=True))
-    cfg.latency_threshold = _number(data, "latency_threshold", path,
-                                    cfg.latency_threshold)
-    cfg.clutter_threshold = _number(data, "clutter_threshold", path,
-                                    cfg.clutter_threshold)
-    cfg.ema_alpha = _number(data, "ema_alpha", path, cfg.ema_alpha)
-    cfg.ema_beta = _number(data, "ema_beta", path, cfg.ema_beta)
-    cfg.eval_period_ms = _number(data, "eval_period_ms", path,
-                                 cfg.eval_period_ms, positive=True)
-    cfg.hl_persist_evals = int(_number(data, "hl_persist_evals", path,
-                                       cfg.hl_persist_evals, positive=True))
-    cfg.escalation_grace_evals = int(_number(
-        data, "escalation_grace_evals", path, cfg.escalation_grace_evals,
-        non_negative=True))
-    cfg.link_lost_timeout_ms = _number(data, "link_lost_timeout_ms", path,
-                                       cfg.link_lost_timeout_ms, positive=True)
-    cfg.rate_adapt_period_ms = _number(data, "rate_adapt_period_ms", path,
-                                       cfg.rate_adapt_period_ms, positive=True)
-    cfg.rate_adapt_factor = _number(data, "rate_adapt_factor", path,
-                                    cfg.rate_adapt_factor)
-    cfg.rate_floor_bps = _number(data, "rate_floor_bps", path,
-                                 cfg.rate_floor_bps, positive=True)
-    cfg.qos_slope = _number(data, "qos_slope", path, cfg.qos_slope,
-                            positive=True)
-    cfg.default_slope = _number(data, "default_slope", path,
-                                cfg.default_slope, positive=True)
-    cfg.mode = data.get("mode", cfg.mode)
-
-    if cfg.cam_weight + cfg.cc_weight != 1.0:
-        raise ConfigError(f"{path}: cam_weight + cc_weight must equal 1, "
-                          f"got {cfg.cam_weight} + {cfg.cc_weight}")
-    if cfg.ema_alpha + cfg.ema_beta != 1.0:
-        raise ConfigError(f"{path}: ema_alpha + ema_beta must equal 1")
-    for key in ("latency_threshold", "clutter_threshold"):
-        v = getattr(cfg, key)
-        if not 0.0 < v < 1.0:
-            raise ConfigError(f"{path}.{key}: must lie in (0, 1), got {v}")
-    if not 0.0 < cfg.rate_adapt_factor < 1.0:
-        raise ConfigError(f"{path}.rate_adapt_factor: must lie in (0, 1)")
-    if cfg.mode not in ("deterministic", "stochastic"):
-        raise ConfigError(f"{path}.mode: must be deterministic or stochastic")
-    return cfg
-
-
-def _parse_environment(data, path) -> list[EnvironmentSegment]:
-    if not isinstance(data, list) or not data:
-        raise ConfigError(f"{path}: expected a non-empty list of segments")
-    segs = []
-    for i, seg in enumerate(data):
-        seg_path = f"{path}[{i}]"
-        _check_keys(seg, ("until_ms", "spaciousness_m", "noise_std"), seg_path)
-        segs.append(EnvironmentSegment(
-            spaciousness_m=_number(seg, "spaciousness_m", seg_path,
-                                   required=True, positive=True),
-            until_ms=_number(seg, "until_ms", seg_path, math.inf,
-                             positive=True),
-            noise_std=_number(seg, "noise_std", seg_path, 0.0,
-                              non_negative=True),
-        ))
-    untils = [s.until_ms for s in segs]
+def _check_scenario(cfg: ScenarioConfig, label: str):
+    """The rules that relate one field to another."""
+    pf = cfg.pfsm
+    if pf.cam_weight + pf.cc_weight != 1.0:
+        raise ConfigError(f"{label}.pfsm: cam_weight + cc_weight must equal "
+                          f"1, got {pf.cam_weight} + {pf.cc_weight}")
+    if pf.ema_alpha + pf.ema_beta != 1.0:
+        raise ConfigError(f"{label}.pfsm: ema_alpha + ema_beta must equal 1")
+    untils = [s.until_ms for s in cfg.environment]
     if untils != sorted(untils):
-        raise ConfigError(f"{path}: segments must be ordered by until_ms")
-    return segs
-
-
-def _parse_plant(data, path) -> PlantSpec:
-    allowed = ("period_ms", "kp", "kd", "command_limit", "plant_dt_ms",
-               "divergence_threshold_m", "circle_radius_m",
-               "circle_period_s", "circle_altitude_m")
-    _check_keys(data, allowed, path)
-    p = PlantSpec()
-    for key in allowed:
-        if key in data:
-            setattr(p, key, _number(data, key, path,
-                                    getattr(p, key), positive=True))
-    return p
-
-
-def parse_config(data: dict, label: str = "config") -> ScenarioConfig:
-    allowed = ("name", "duration_ms", "seed", "reporting_interval_ms", "qos",
-               "uplink", "downlink", "uav_sources", "background", "pfsm",
-               "environment", "plant", "link_outages_ms",
-               "command_packet_bits", "jitter_ms")
-    _check_keys(data, allowed, label)
-
-    for key in ("name", "duration_ms", "qos", "uplink", "downlink",
-                "uav_sources"):
-        if key not in data:
-            raise ConfigError(f"{label}.{key}: required key missing")
-    if data["qos"] not in QOS_MODES:
-        raise ConfigError(f"{label}.qos: must be one of {QOS_MODES}")
-
-    sources = data["uav_sources"]
-    if not isinstance(sources, list) or not sources:
-        raise ConfigError(f"{label}.uav_sources: expected a non-empty list")
-    uav_sources = [_parse_source(s, f"{label}.uav_sources[{i}]")
-                   for i, s in enumerate(sources)]
-    if sum(s.kind == PERIODIC_SMALL for s in uav_sources) != 1:
+        raise ConfigError(f"{label}.environment: segments must be ordered "
+                          "by until_ms")
+    for i, src in enumerate(cfg.uav_sources):
+        if src.kind == PERIODIC_SMALL and src.rate_bps % 1 == 0 and \
+                src.rate_bps < src.packet_bits:
+            raise ConfigError(f"{label}.uav_sources[{i}]: periodic rate "
+                              "below one packet per second")
+    if sum(s.kind == PERIODIC_SMALL for s in cfg.uav_sources) != 1:
         raise ConfigError(f"{label}.uav_sources: exactly one periodic_small "
                           "control source is required")
-
-    background = None
-    if data.get("background") is not None:
-        background = _parse_source(data["background"], f"{label}.background")
-        if background.kind != ONOFF_BACKGROUND:
+    if cfg.background is not None:
+        if cfg.background.kind != ONOFF_BACKGROUND:
             raise ConfigError(f"{label}.background.kind: must be "
                               f"{ONOFF_BACKGROUND}")
-        if background.active_window_ms is None:
+        if cfg.background.active_window_ms is None:
             raise ConfigError(f"{label}.background.active_window_ms: "
                               "required for background traffic")
-
-    outages = []
-    for i, w in enumerate(data.get("link_outages_ms") or []):
-        outages.append(_window({"w": w}, "w", f"{label}.link_outages_ms[{i}]"))
-
-    cfg = ScenarioConfig(
-        name=str(data["name"]),
-        duration_ms=_number(data, "duration_ms", label, required=True,
-                            positive=True),
-        qos=data["qos"],
-        uplink=_parse_link(data["uplink"], f"{label}.uplink"),
-        downlink=_parse_link(data["downlink"], f"{label}.downlink"),
-        uav_sources=uav_sources,
-        background=background,
-        seed=int(_number(data, "seed", label, 0, non_negative=True)),
-        reporting_interval_ms=_number(data, "reporting_interval_ms", label,
-                                      100.0, positive=True),
-        command_packet_bits=int(_number(data, "command_packet_bits", label,
-                                        2000, positive=True)),
-        jitter_ms=_number(data, "jitter_ms", label, 0.0, non_negative=True),
-        pfsm=_parse_pfsm(data.get("pfsm") or {}, f"{label}.pfsm"),
-        environment=_parse_environment(
-            data.get("environment") or [{"spaciousness_m": 10.0}],
-            f"{label}.environment"),
-        plant=_parse_plant(data.get("plant") or {}, f"{label}.plant"),
-        link_outages_ms=outages,
-    )
-
-    for period in (cfg.reporting_interval_ms, cfg.pfsm.eval_period_ms,
+    # the cell steps both directions at the uplink TTI
+    if cfg.downlink.tti_ms != cfg.uplink.tti_ms:
+        raise ConfigError(f"{label}.downlink.tti_ms: must equal "
+                          f"uplink.tti_ms {cfg.uplink.tti_ms}, "
+                          f"got {cfg.downlink.tti_ms}")
+    for period in (cfg.reporting_interval_ms, pf.eval_period_ms,
                    cfg.plant.plant_dt_ms, cfg.plant.period_ms):
         ratio = period / cfg.uplink.tti_ms
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(f"{label}: period {period} ms must be a "
                               "multiple of the TTI")
-    if cfg.qos == "dynamic" and cfg.camera is None:
+    cam = cfg.camera
+    # rate adaptation may lower the camera to its floor
+    if cam is not None and \
+            round(min(cam.rate_bps, cam.floor_bps) / cam.frame_hz) == 0:
+        raise ConfigError(f"{label}.uav_sources"
+                          f"[{cfg.uav_sources.index(cam)}]: a frame of "
+                          "min(rate_bps, floor_bps) / frame_hz rounds to "
+                          "0 bits")
+    if cfg.qos == "dynamic" and cam is None:
         raise ConfigError(f"{label}.uav_sources: dynamic QoS requires a "
                           "cbr_frames camera source (rate adaptation target)")
+    if cfg.qos == "dynamic" and pf.rate_floor_bps > cam.rate_bps:
+        raise ConfigError(f"{label}.pfsm.rate_floor_bps: must not exceed "
+                          f"the camera rate_bps {cam.rate_bps}")
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> (field, resolved type) of dataclass `cls`."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in fields(cls)}
+
+
+def _build(cls, data, path: str):
+    """An instance of dataclass `cls` from the mapping `data`; a key set to
+    null counts as absent."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping, "
+                          f"got {type(data).__name__}")
+    schema = _schema(cls)
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for name, (f, tp) in schema.items():
+        key = f"{path}.{name}"
+        if data.get(name) is None:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{key}: required key missing")
+            continue
+        value = _value(tp, data[name], key)
+        test, rule = f.metadata.get("check", (None, None))
+        if test is not None and not test(value):
+            raise ConfigError(f"{key}: {rule}, got {value!r}")
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _value(tp, value, path: str):
+    """`value` read as type `tp`: a dataclass, list, Optional, [start, end]
+    window, str, or a finite int or float."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:
+        return _value(args[0], value, path)     # Optional[X]
+    if is_dataclass(tp):
+        return _build(tp, value, path)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list")
+        return [_value(args[0], v, f"{path}[{i}]")
+                for i, v in enumerate(value)]
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(f"{path}: expected [start_ms, end_ms]")
+        start, end = (_value(float, v, path) for v in value)
+        if not 0 <= start < end:
+            raise ConfigError(f"{path}: window must satisfy "
+                              f"0 <= start < end, got [{start}, {end}]")
+        return (start, end)
+    if tp is str:
+        return str(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:    # NaN, inf, or a huge int
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    return tp(value)
+
+
+def parse_config(data: dict, label: str = "config") -> ScenarioConfig:
+    cfg = _build(ScenarioConfig, data, label)
+    _check_scenario(cfg, label)
     return cfg
 
 
@@ -393,18 +264,26 @@ def builtin_config_path(name: str) -> Path:
     return Path(str(resources.files("uavqos") / "configs" / f"{name}.yaml"))
 
 
-def load_config(path) -> ScenarioConfig:
-    """Load and validate a scenario file (bundled name or filesystem path)."""
-    p = Path(path)
-    if not p.exists() and p.suffix == "" and str(p) in BUILTIN_SCENARIOS:
-        p = builtin_config_path(str(p))
-    if not p.exists():
-        raise ConfigError(f"{path}: no such config file")
+def read_config(name_or_path) -> tuple[dict, Path]:
+    """The raw mapping of a scenario file (a path, or a bundled name when no
+    such file exists) and the file's path; nothing is validated yet."""
+    path = Path(name_or_path)
+    if not path.exists() and str(name_or_path) in BUILTIN_SCENARIOS:
+        path = builtin_config_path(str(name_or_path))
+    if not path.exists():
+        raise ConfigError(f"{name_or_path}: no such config file and not a "
+                          f"bundled scenario ({', '.join(BUILTIN_SCENARIOS)})")
     try:
-        with open(p) as fh:
+        with open(path) as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{p}: YAML parse error: {exc}") from exc
+        raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{p}: top level must be a mapping")
-    return parse_config(raw, label=p.name)
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return raw, path
+
+
+def load_config(path) -> ScenarioConfig:
+    """Load and validate a scenario file (bundled name or filesystem path)."""
+    raw, path = read_config(path)
+    return parse_config(raw, label=path.name)

@@ -81,11 +81,13 @@ class LinkConfig:
 
     def __post_init__(self):
         if self.capacity_bps <= 0:
-            raise ValueError("capacity must be positive")
+            raise ValueError("capacity_bps must be positive")
         if self.tti_ms <= 0:
-            raise ValueError("tti must be positive")
+            raise ValueError("tti_ms must be positive")
         if self.base_delay_ms < 0:
-            raise ValueError("base delay must be non-negative")
+            raise ValueError("base_delay_ms must be non-negative")
+        if self.buffer_cap_bits is not None and self.buffer_cap_bits <= 0:
+            raise ValueError("buffer_cap_bits must be positive")
 
     @property
     def tti_budget_bits(self) -> float:

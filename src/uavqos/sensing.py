@@ -27,18 +27,14 @@ class SigmoidParams:
 
     steepness : curve slope (1/stimulus-unit), must be positive
     midpoint  : stimulus value at which the probability crosses 0.5
-    threshold : decision threshold applied to the resulting probability
     """
 
     steepness: float
     midpoint: float
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.steepness <= 0:
-            raise ValueError("sigmoid steepness must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("decision threshold must lie in (0, 1)")
+            raise ValueError("steepness must be positive")
 
 
 def sigmoid_prob(t: float, p: SigmoidParams) -> float:

@@ -1,12 +1,17 @@
 """Config loading, run orchestration, emission, and CLI surface tests."""
 
+import functools
 import hashlib
 import json
+import math
+import operator
 import subprocess
 import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config, raw_scenario
 from uavqos.engine import run
@@ -18,6 +23,22 @@ from uavqos.scenario import (
     load_config,
     parse_config,
 )
+
+
+def leaf_paths(node, path=()):
+    """Key paths (keys and list indices) of every scalar in a document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def set_leaf(raw, path, value):
+    functools.reduce(operator.getitem, path[:-1], raw)[path[-1]] = value
 
 
 def digest(lines) -> str:
@@ -86,6 +107,57 @@ class TestLoadConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="no such config"):
             load_config("/nonexistent/path.yaml")
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("no_qos_no_bg", ("uplink", "capacity_bps"), math.nan,
+         r"uplink\.capacity_bps: must be finite"),
+        ("no_qos_no_bg", ("duration_ms",), math.inf,
+         r"\.duration_ms: must be finite"),
+        ("no_qos_no_bg", ("link_outages_ms",), [["a", 5]],
+         r"link_outages_ms\[0\]: expected a number"),
+        ("no_qos_no_bg", ("downlink", "tti_ms"), 1.0,
+         r"downlink\.tti_ms: must equal uplink\.tti_ms"),
+        ("no_qos_no_bg", ("uav_sources", 0, "rate_bps"), 10.0,
+         r"uav_sources\[0\]: .* rounds to 0 bits"),
+        ("dynamic_qos_bg", ("pfsm", "cam_window"), 0.5,
+         r"pfsm\.cam_window: must be positive"),
+        ("dynamic_qos_bg", ("pfsm", "cam_sigmoid", "steepness"), 0.0,
+         r"pfsm\.cam_sigmoid: steepness must be positive"),
+        ("dynamic_qos_bg", ("plant", "kp"), -1.0,
+         r"plant: kp must be positive"),
+        ("dynamic_qos_bg", ("pfsm", "rate_floor_bps"), 50e6,
+         r"pfsm\.rate_floor_bps: must not exceed"),
+    ])
+    def test_rejection_carries_key_path(self, name, path, value, message):
+        raw = raw_scenario(name)
+        set_leaf(raw, path, value)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+
+    def test_omitted_until_ms_means_forever(self):
+        cfg = load_config(builtin_config_path("dynamic_qos_bg"))
+        assert cfg.environment[-1].until_ms == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_leaf_is_rejected_or_runs(self, data):
+        # One leaf of a bundled scenario gets an invalid, boundary or
+        # rescaled value: the loader rejects it, or a 1 s run finishes.
+        raw = raw_scenario(data.draw(st.sampled_from(BUILTIN_SCENARIOS)))
+        raw["duration_ms"] = 1000.0
+        if raw.get("background"):
+            raw["background"]["active_window_ms"] = [200.0, 800.0]
+        path = data.draw(st.sampled_from(list(leaf_paths(raw))))
+        values = [math.nan, math.inf, -math.inf, -1, 0, "x", [], None]
+        old = functools.reduce(operator.getitem, path, raw)
+        if type(old) in (int, float):
+            values += [old * 0.5, old * 2]
+        set_leaf(raw, path, data.draw(st.sampled_from(values)))
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+        run(cfg)    # a SimulationContractError or any other error fails
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +297,26 @@ class TestCli:
         assert (out / "2.0" / "trace.csv").exists()
         assert (out / "8.0" / "trace.csv").exists()
         assert r.stdout.count("scenario priority_qos_bg") == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: [unclosed\n")
+        args = ["--param", "seed", "--values", "1"] \
+            if command == "sweep" else []
+        r = self.cli(command, "--config", str(bad), *args)
+        assert r.returncode == 1
+        assert r.stderr.startswith("config error:")
+        assert "Traceback" not in r.stderr
+
+    def test_run_rejects_non_finite_number_with_path(self, tmp_path):
+        nan = tmp_path / "nan.yaml"
+        text = builtin_config_path("no_qos_no_bg").read_text()
+        nan.write_text(text.replace("duration_ms: 120000.0",
+                                    "duration_ms: 1000.0")
+                       .replace("capacity_bps: 81300000.0",
+                                "capacity_bps: .nan"))
+        r = self.cli("run", "--config", str(nan))
+        assert r.returncode == 1
+        assert "config error: nan.yaml.uplink.capacity_bps: must be " \
+            "finite" in r.stderr

@@ -69,8 +69,6 @@ class TestSigmoid:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             SigmoidParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            SigmoidParams(1.0, 1.0, threshold=1.0)
 
 
 class TestClutterProb:
