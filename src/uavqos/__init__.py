@@ -3,18 +3,18 @@ aerial platform: weighted resource-fair scheduling, latency/risk sensing,
 a supervisory state machine, and a delayed control-loop plant proxy."""
 
 from .cell import CellModel, FrameSource, PacedSource, PeriodicSource, \
-    RttSample, measure_rtt, set_source_rate
+    measure_rtt
 from .engine import RunSummary, Simulation, SimulationContractError, \
     TraceRecord, run
-from .fsm import ActionCommand, QosSupervisor, SignalSet, TransitionTable, \
-    apply_action, emit_signals, rate_adapt_step, transition
+from .fsm import ActionCommand, QosSupervisor, SignalSet, emit_signals, \
+    rate_adapt_step, transition
 from .output import emit
 from .plant import CircularReference, ControllerConfig, PlantState, \
     controller_tick, onboard_fallback_tick, plant_step, run_fixed_delay_loop
 from .scenario import ConfigError, ScenarioConfig, builtin_config_path, \
     load_config, parse_config
-from .scheduler import Allocation, LinkConfig, Packet, QosFlow, \
-    accumulate_weight, head_of_line_delay, schedule_tti, set_priority
+from .scheduler import LinkConfig, Packet, QosFlow, head_of_line_delay, \
+    schedule_tti, set_priority
 from .sensing import LatencyWindows, PointCloud, RiskState, SigmoidParams, \
     clutter_prob, latency_condition, risk_update, sigmoid_prob, spaciousness, \
     synth_point_cloud, window_mean

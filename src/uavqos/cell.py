@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .scheduler import (
@@ -28,46 +27,26 @@ from .scheduler import (
     schedule_tti,
 )
 
-INF = math.inf
-
-
-@dataclass
-class RttSample:
-    """Round trip of one control/command exchange; rtt is exactly the sum
-    of the uplink and downlink components (processing is out of scope)."""
-
-    sent_at: float
-    echoed_at: float
-    rtt: float
-    ul_delay: float
-    dl_delay: float
-
-    @property
-    def components(self):
-        return (self.ul_delay, self.dl_delay)
-
 
 class FrameSource:
     """Constant-bit-rate frame stream (camera).
 
     Each frame is emitted as full `packet_bits` packets plus a remainder,
     paced uniformly across the frame interval. Rate changes latch at the
-    next frame boundary; requests below the floor clamp and set a flag.
+    next frame boundary; requests below the floor clamp to it.
     """
 
+    kind = CAMERA
+
     def __init__(self, rate_bps: float, frame_hz: float,
-                 packet_bits: int = 12_000, floor_bps: float = 5e6,
-                 kind: str = CAMERA):
+                 packet_bits: int = 12_000, floor_bps: float = 5e6):
         if rate_bps <= 0 or frame_hz <= 0 or packet_bits <= 0:
             raise ValueError("camera source parameters must be positive")
-        self.nominal_bps = rate_bps
         self.rate_bps = rate_bps
         self.floor_bps = floor_bps
         self.frame_hz = frame_hz
         self.packet_bits = packet_bits
-        self.kind = kind
         self.frame_interval = 1000.0 / frame_hz
-        self.clamped = False
         self.active = True
         self._pending_rate: Optional[float] = None
         self._frame_idx = 0
@@ -77,7 +56,6 @@ class FrameSource:
 
     def set_rate(self, rate_bps: float) -> float:
         """Request a new rate; effective at the next frame boundary."""
-        self.clamped = rate_bps < self.floor_bps
         self._pending_rate = max(rate_bps, self.floor_bps)
         return self._pending_rate
 
@@ -127,16 +105,15 @@ class FrameSource:
 class PeriodicSource:
     """Small fixed-size packet every period (control state stream)."""
 
+    kind = CONTROL_STATE
+
     def __init__(self, hz: float, packet_bits: int = 12_000,
-                 kind: str = CONTROL_STATE,
                  payload_fn: Optional[Callable[[float], object]] = None):
         if hz <= 0 or packet_bits <= 0:
             raise ValueError("periodic source parameters must be positive")
         self.period = 1000.0 / hz
         self.packet_bits = packet_bits
-        self.kind = kind
         self.payload_fn = payload_fn
-        self.rate_bps = hz * packet_bits
         self._idx = 0
 
     def emit_until(self, end_ms: float):
@@ -153,14 +130,14 @@ class PacedSource:
     """Back-to-back packets at a constant rate inside an on/off window
     (background load)."""
 
+    kind = BACKGROUND
+
     def __init__(self, rate_bps: float, window_ms: tuple[float, float],
-                 packet_bits: int = 12_000, kind: str = BACKGROUND):
+                 packet_bits: int = 12_000):
         if rate_bps <= 0 or packet_bits <= 0:
             raise ValueError("background source parameters must be positive")
-        self.rate_bps = rate_bps
         self.window = window_ms
         self.packet_bits = packet_bits
-        self.kind = kind
         self.spacing = packet_bits / rate_bps * 1000.0
         self._idx = 0
 
@@ -174,12 +151,6 @@ class PacedSource:
             out.append((due, self.packet_bits, self.kind, self._idx, None))
             self._idx += 1
         return out
-
-
-def set_source_rate(source: FrameSource, rate_bps: float) -> FrameSource:
-    """Adjust a frame source's rate (next frame boundary, floor-clamped)."""
-    source.set_rate(rate_bps)
-    return source
 
 
 class CellModel:
@@ -238,12 +209,10 @@ class CellModel:
         self._last_arrival[direction] = arrival
         return arrival
 
-    def step(self, dt: float):
-        """Advance one TTI; returns [(arrival_ms, packet, direction)] for
-        every packet delivered during the tick."""
-        if dt != self.uplink.tti_ms:
-            raise ValueError("step must advance exactly one TTI")
-        end = self.clock + dt
+    def step(self):
+        """Advance one uplink TTI; returns [(arrival_ms, packet, direction)]
+        for every packet delivered during the tick."""
+        end = self.clock + self.uplink.tti_ms
 
         staged: dict[int, list] = {}
         for source, flow in self._sources:
@@ -261,15 +230,14 @@ class CellModel:
 
         if not self.in_outage(self.clock):
             if self._ul_flows:
-                _, done = schedule_tti(self.uplink, self._ul_flows, self.clock)
-                for pkt, dep in done:
+                for pkt, dep in schedule_tti(self.uplink, self._ul_flows,
+                                             self.clock):
                     self._in_flight_ul.append(
                         (self._arrival(UPLINK, dep, self.uplink.base_delay_ms),
                          pkt))
             if self._dl_flows:
-                _, done = schedule_tti(self.downlink, self._dl_flows,
-                                       self.clock)
-                for pkt, dep in done:
+                for pkt, dep in schedule_tti(self.downlink, self._dl_flows,
+                                             self.clock):
                     self._in_flight_dl.append(
                         (self._arrival(DOWNLINK, dep,
                                        self.downlink.base_delay_ms), pkt))
@@ -289,19 +257,10 @@ class CellModel:
         return sum(f.buffered_bits for f in flows)
 
 
-def measure_rtt(cell: CellModel, control_packet: Packet,
-                command_packet: Packet) -> Optional[RttSample]:
-    """Correlate a delivered control packet with its command echo.
-
-    Returns None when the ids do not match or either leg was never
-    delivered (loss/drop)."""
-    if command_packet.ref != control_packet.id:
-        return None
-    if control_packet.delivered_at is None or \
-            command_packet.delivered_at is None:
-        return None
+def measure_rtt(control_packet: Packet, command_packet: Packet) -> float:
+    """Round trip of one delivered control packet and its delivered command
+    echo: the uplink leg plus the downlink leg (processing is out of
+    scope)."""
     ul = control_packet.delivered_at - control_packet.created_at
     dl = command_packet.delivered_at - command_packet.created_at
-    return RttSample(sent_at=control_packet.created_at,
-                     echoed_at=control_packet.delivered_at,
-                     rtt=ul + dl, ul_delay=ul, dl_delay=dl)
+    return ul + dl

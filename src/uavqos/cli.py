@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -82,6 +83,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
     raw, _ = read_config(args.config)
     base = _apply_overrides(raw, args.seed, args.mode)
     try:
@@ -97,8 +100,9 @@ def cmd_sweep(args) -> int:
             if args.out else None
         jobs.append((raw, label, out_dir, tuple(args.format.split(","))))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(j) for j in jobs]
@@ -138,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", default="csv,json")
     p_sweep.add_argument("--mode", default=None,
                          choices=["deterministic", "stochastic"])
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes, at most one per value "
+                              "and per CPU")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a config without running")

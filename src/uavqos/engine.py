@@ -206,9 +206,7 @@ class Simulation:
     def _apply_qos(self, enabled: bool):
         want = self.cfg.pfsm.qos_slope if enabled \
             else self.cfg.pfsm.default_slope
-        target = self.uav_flow._pending_slope or self.uav_flow.priority_slope
-        if target != want:
-            set_priority(self.uav_flow, want)
+        set_priority(self.uav_flow, want)
 
     def _enter_autonomy(self, t_ms):
         self.offloaded = False
@@ -305,7 +303,7 @@ class Simulation:
                     delayed, cfg.plant,
                     ref_velocity=self.reference.velocity(t))
 
-            for arrival, pkt, direction in self.cell.step(tti):
+            for arrival, pkt, direction in self.cell.step():
                 if direction == UPLINK:
                     if pkt.flow_id == self.uav_flow.id:
                         interval_uav += pkt.size
@@ -323,14 +321,11 @@ class Simulation:
                     else:
                         interval_bg += pkt.size
                 elif pkt.kind == COMMAND:
-                    ctrl = self.pending_ctrl.pop(pkt.ref, None)
-                    if ctrl is not None:
-                        sample = measure_rtt(self.cell, ctrl, pkt)
-                        if sample is not None:
-                            self.windows.push_control(sample.rtt)
-                            interval_rtt_sum += sample.rtt
-                            interval_rtt_n += 1
-                            self.last_rtt_arrival = arrival
+                    rtt = measure_rtt(self.pending_ctrl.pop(pkt.ref), pkt)
+                    self.windows.push_control(rtt)
+                    interval_rtt_sum += rtt
+                    interval_rtt_n += 1
+                    self.last_rtt_arrival = arrival
                     self.applied_cmd = pkt.payload
 
             t_end = (k + 1) * tti

@@ -100,6 +100,7 @@ class ActionCommand:
             raise ValueError("rate adaptation only applies while offloading")
 
 
+# action column of the state table
 _ACTIONS = {
     Q1: ActionCommand(qos_enabled=False, rate_adaptation=False, offload=True),
     Q2: ActionCommand(qos_enabled=True, rate_adaptation=False, offload=True),
@@ -109,42 +110,6 @@ _ACTIONS = {
     Q6: ActionCommand(qos_enabled=True, rate_adaptation=True, offload=True),
     QA: ActionCommand(qos_enabled=False, rate_adaptation=False, offload=False),
 }
-
-
-def apply_action(state: str) -> ActionCommand:
-    """Action column of the state table."""
-    try:
-        return _ACTIONS[state]
-    except KeyError:
-        raise TransitionFault(state, None, "unknown state") from None
-
-
-class TransitionTable:
-    """Successor sets plus the guard map, checked total at construction."""
-
-    def __init__(self, mode: str = DETERMINISTIC):
-        if mode not in (DETERMINISTIC, STOCHASTIC):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        self.successors = dict(SUCCESSORS)
-        self._verify_totality()
-
-    def _verify_totality(self):
-        for state in STATES:
-            for latency in LATENCY_FLAGS:
-                for risk in RISK_FLAGS:
-                    for lost in (False, True):
-                        for persistent in (False, True):
-                            for ok in (False, True):
-                                for floor in (False, True):
-                                    sig = SignalSet(latency, risk, lost)
-                                    nxt = _guard(state, sig, persistent, ok,
-                                                 floor)
-                                    if nxt not in self.successors[state]:
-                                        raise TransitionFault(
-                                            state, sig,
-                                            f"guard targets {nxt} outside "
-                                            "the successor set")
 
 
 def _guard(state, sig, hl_persistent, escalate_ok, at_rate_floor):
@@ -201,10 +166,10 @@ def _guard(state, sig, hl_persistent, escalate_ok, at_rate_floor):
     raise TransitionFault(state, sig, "unknown state")
 
 
-def transition(current: str, signals: SignalSet, table: TransitionTable, *,
+def transition(current: str, signals: SignalSet, *,
                hl_persistent: bool = False, escalate_ok: bool = True,
                at_rate_floor: bool = False) -> str:
-    """Next state for one evaluation.
+    """Next state for one evaluation, checked against `SUCCESSORS`.
 
     `hl_persistent` marks the high-latency flag as held across consecutive
     evaluations, `escalate_ok` that the post-engagement grace has elapsed,
@@ -214,7 +179,7 @@ def transition(current: str, signals: SignalSet, table: TransitionTable, *,
     if current not in STATES:
         raise TransitionFault(current, signals, "unknown state")
     nxt = _guard(current, signals, hl_persistent, escalate_ok, at_rate_floor)
-    if nxt not in table.successors[current]:
+    if nxt not in SUCCESSORS[current]:
         raise TransitionFault(current, signals,
                               f"illegal transition to {nxt}")
     return nxt
@@ -281,7 +246,8 @@ class QosSupervisor:
                  escalation_grace_evals: int = 10):
         if hl_persist_evals < 1:
             raise ValueError("persistence must span at least one evaluation")
-        self.table = TransitionTable(mode)
+        if mode not in (DETERMINISTIC, STOCHASTIC):
+            raise ValueError(f"unknown mode {mode!r}")
         self.th_lat = th_lat
         self.mode = mode
         self.rng = rng
@@ -290,7 +256,6 @@ class QosSupervisor:
         self.escalation_grace_evals = escalation_grace_evals
         self._hl_history: deque[bool] = deque(maxlen=hl_persist_evals)
         self._evals_since_qos: Optional[int] = None
-        self.transitions: list[tuple[str, str, str]] = []
 
     def evaluate(self, p_lat: float, p_cs: float, risk_level: str,
                  link_ok: bool, at_rate_floor: bool = False) -> SupervisorEvent:
@@ -305,15 +270,11 @@ class QosSupervisor:
                        and self._evals_since_qos >= self.escalation_grace_evals)
 
         before = self.state
-        nxt = transition(before, signals, self.table,
-                         hl_persistent=hl_persistent,
-                         escalate_ok=escalate_ok,
-                         at_rate_floor=at_rate_floor)
-        if nxt != before:
-            self.transitions.append((before, str(signals), nxt))
+        nxt = transition(before, signals, hl_persistent=hl_persistent,
+                         escalate_ok=escalate_ok, at_rate_floor=at_rate_floor)
         self.state = nxt
 
-        action = apply_action(nxt)
+        action = _ACTIONS[nxt]
         if action.qos_enabled and self._evals_since_qos is None:
             self._evals_since_qos = 0
         elif not action.qos_enabled:

@@ -164,12 +164,16 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
         raise ConfigError(f"{label}.downlink.tti_ms: must equal "
                           f"uplink.tti_ms {cfg.uplink.tti_ms}, "
                           f"got {cfg.downlink.tti_ms}")
-    for period in (cfg.reporting_interval_ms, pf.eval_period_ms,
-                   cfg.plant.plant_dt_ms, cfg.plant.period_ms):
+    # the engine counts every length below in whole uplink TTIs
+    for key, period in (("duration_ms", cfg.duration_ms),
+                        ("reporting_interval_ms", cfg.reporting_interval_ms),
+                        ("pfsm.eval_period_ms", pf.eval_period_ms),
+                        ("plant.plant_dt_ms", cfg.plant.plant_dt_ms),
+                        ("plant.period_ms", cfg.plant.period_ms)):
         ratio = period / cfg.uplink.tti_ms
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError(f"{label}: period {period} ms must be a "
-                              "multiple of the TTI")
+            raise ConfigError(f"{label}.{key}: {period} ms must be a whole "
+                              f"number of TTIs ({cfg.uplink.tti_ms} ms)")
     cam = cfg.camera
     # rate adaptation may lower the camera to its floor
     if cam is not None and \

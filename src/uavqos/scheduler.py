@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 UPLINK = "uplink"
 DOWNLINK = "downlink"
@@ -148,19 +148,6 @@ class QosFlow:
         return discarded
 
 
-class Allocation(NamedTuple):
-    flow_id: int
-    bits: float
-
-
-def accumulate_weight(flow: QosFlow, ttis_since_service: int) -> float:
-    """Weight after `ttis_since_service` unserved TTIs: slope times count."""
-    if ttis_since_service < 0:
-        raise ValueError("ttis_since_service must be non-negative")
-    flow.weight = flow.priority_slope * ttis_since_service
-    return flow.weight
-
-
 def head_of_line_delay(flow: QosFlow, now: float) -> float:
     """Age in ms of the oldest buffered packet; 0 for an empty buffer."""
     if not flow.buffer:
@@ -185,9 +172,8 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
     the higher slope, then the lower flow id. If the grantee drains, the
     remainder spills to the next flow by the same ordering.
 
-    Returns (allocations, completed) where `completed` is a list of
-    (packet, departure_ms) for every packet whose last bit was sent this
-    TTI, in departure order.
+    Returns (packet, departure_ms) for every packet whose last bit was sent
+    this TTI, in departure order.
     """
     if not flows:
         raise ValueError("schedule_tti requires at least one flow")
@@ -203,7 +189,6 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
 
     budget = link.tti_budget_bits
     capacity = link.capacity_bps
-    allocations: list[Allocation] = []
     completed: list[tuple[Packet, float]] = []
 
     candidates = [f for f in flows if f.buffered_bits > 0]
@@ -240,6 +225,5 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
         best.buffered_bits -= granted
         best.delivered_bits += granted
         remaining -= granted
-        allocations.append(Allocation(best.id, granted))
 
-    return allocations, completed
+    return completed

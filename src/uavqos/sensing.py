@@ -85,16 +85,11 @@ class LatencyWindows:
         self.cc_window.append(latency_ms)
 
 
-def window_mean(window, n: Optional[int] = None) -> Optional[float]:
-    """Mean of the most recent min(n, available) samples; None when empty."""
+def window_mean(window) -> Optional[float]:
+    """Mean of the samples held in `window`; None when empty."""
     if not window:
         return None
-    items = list(window)
-    if n is not None:
-        if n < 1:
-            raise ValueError("window length must be at least 1")
-        items = items[-n:]
-    return sum(items) / len(items)
+    return sum(window) / len(window)
 
 
 def latency_condition(t1: float, t2: float, windows: LatencyWindows,

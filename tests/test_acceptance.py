@@ -5,6 +5,7 @@ criterion. The four bundled scenarios execute once each (module-scoped
 fixtures) and every criterion interrogates the resulting traces.
 """
 
+import hashlib
 import math
 import statistics
 import time
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, raw_scenario
-from test_scheduler import oracle_winner_sequence, run_backlogged
+from test_scheduler import grant_tti, oracle_winner_sequence, run_backlogged
 from uavqos.cell import CellModel, FrameSource, PacedSource, PeriodicSource
 from uavqos.engine import run
 from uavqos.fsm import (
@@ -24,11 +25,10 @@ from uavqos.fsm import (
     STATES,
     STOCHASTIC,
     SUCCESSORS,
-    TransitionTable,
     emit_signals,
     transition,
 )
-from uavqos.output import trace_csv_lines
+from uavqos.output import summary_json, trace_csv_lines
 from uavqos.scenario import parse_config
 from uavqos.scheduler import (
     BACKGROUND,
@@ -36,7 +36,6 @@ from uavqos.scheduler import (
     LinkConfig,
     QosFlow,
     head_of_line_delay,
-    schedule_tti,
 )
 from uavqos.sensing import (
     LOW_RISK,
@@ -85,6 +84,35 @@ def outage_run():
     raw["environment"] = [{"spaciousness_m": 10.0}]
     raw["link_outages_ms"] = [[30_000.0, 35_000.0]]
     return run(parse_config(raw))
+
+
+# sha256 of the trace.csv and summary.json bytes `emit` writes for each run
+OUTPUT_DIGESTS = {
+    "baseline_run": (
+        "98d4fe14d25d5b636f22cff509a04a6b122246e33d3ed591800ef2608c004927",
+        "ff12eab96d64b62b54353cb39d412953bb86401713bcbc80d4a20cad9ec33224"),
+    "overload_run": (
+        "43831abaac7c291382fdf6baf0cdfc1567cde140dbc83b0c19d6128f3d2023ea",
+        "6a077484605f474cdc606755213145700f907288af246a5d42dde6fbf8b48e42"),
+    "priority_run": (
+        "86b14de0074c06e5dbedabc587ae494dde0f768a81ebaca0b6b3a47aad2b0f6c",
+        "2348d5df1d4e24fa63ab7fec2f3bb7d41cb7b455fc3509cfa26c4da28eb0f2af"),
+    "dynamic_run": (
+        "73900f2ebc60616cb5c306033fedcb3aaa2fedbd84f1e6f5669b60fee036d340",
+        "827f40b921fac1d62646500d06449c608d0d6cfa9622418f63834bbc772e1575"),
+    "outage_run": (
+        "4c571652cc624c322af6da6c091c9e9c577213013c1c74c8b3d95961558ceead",
+        "47287fe269e8d82b6ae529a2ed76d54c14a75c3eb1794ca17e3eb8f3fa2cf6c3"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(OUTPUT_DIGESTS))
+def test_output_digests_pinned(request, fixture):
+    traces, summary = request.getfixturevalue(fixture)[:2]
+    trace_bytes = ("\n".join(trace_csv_lines(traces)) + "\n").encode()
+    got = (hashlib.sha256(trace_bytes).hexdigest(),
+           hashlib.sha256(summary_json(summary).encode()).hexdigest())
+    assert got == OUTPUT_DIGESTS[fixture]
 
 
 def steady(traces, t_from, t_to=math.inf):
@@ -143,7 +171,7 @@ def _uav_hol_series(duration_ms, onset_ms):
     cell.attach_source(PacedSource(BG_OFFERED, (onset_ms, duration_ms)), bg)
     series = []
     for k in range(int(duration_ms / 0.5)):
-        cell.step(0.5)
+        cell.step()
         if k % 200 == 0:
             series.append((cell.clock, head_of_line_delay(uav, cell.clock)))
     return series
@@ -217,11 +245,10 @@ def test_criterion_5_scheduler_properties():
                 f.enqueue(f.make_packet(int(rng.integers(1_000, 40_000)),
                                         k * 0.5, BACKGROUND))
         backlog = sum(f.buffered_bits for f in flows)
-        allocs, _ = schedule_tti(ul, flows, k * 0.5)
-        assert sum(a.bits for a in allocs) == pytest.approx(
+        fid, sent = grant_tti(ul, flows, k * 0.5)
+        assert sum(sent.values()) == pytest.approx(
             min(ul.tti_budget_bits, backlog))
-        if allocs:
-            fid = allocs[0].flow_id
+        if fid is not None:
             served_gaps[fid] = max(served_gaps[fid], k - last_served[fid])
             last_served[fid] = k
         for f in flows:
@@ -288,13 +315,12 @@ def test_criterion_7_pfsm_structure(dynamic_run):
 
 def test_criterion_8_fallback(outage_run):
     # table-level: sustained link loss reaches autonomy from every state
-    table = TransitionTable()
     from uavqos.fsm import SignalSet
     lost = SignalSet("LL", MIDDLE_RISK, link_lost=True)
     for start in STATES:
         state = start
         for _ in range(3):
-            state = transition(state, lost, table)
+            state = transition(state, lost)
         assert state == QA
 
     traces, summary = outage_run

@@ -19,15 +19,12 @@ from uavqos.fsm import (
     SignalSet,
     SUCCESSORS,
     TransitionFault,
-    TransitionTable,
-    apply_action,
+    _ACTIONS,
     emit_signals,
     rate_adapt_step,
     transition,
 )
 from uavqos.sensing import HIGH_RISK, LOW_RISK, MIDDLE_RISK
-
-TABLE = TransitionTable()
 
 
 def sig(latency, risk, lost=False):
@@ -59,7 +56,7 @@ class TestSuccessorTable:
                                 for floor in (False, True):
                                     nxt = transition(
                                         state, sig(latency, risk, lost),
-                                        TABLE, hl_persistent=persistent,
+                                        hl_persistent=persistent,
                                         escalate_ok=ok, at_rate_floor=floor)
                                     assert nxt in SUCCESSORS[state]
 
@@ -75,17 +72,19 @@ class TestActions:
         (QA, False, False, False),
     ])
     def test_action_table(self, state, qos, adapt, offload):
-        a = apply_action(state)
+        a = _ACTIONS[state]
         assert (a.qos_enabled, a.rate_adaptation, a.offload) == \
             (qos, adapt, offload)
 
     def test_offload_false_only_in_autonomy(self):
         for state in STATES:
-            assert apply_action(state).offload == (state != QA)
+            assert _ACTIONS[state].offload == (state != QA)
 
     def test_unknown_state_is_structured_fault(self):
+        sup = QosSupervisor(th_lat=0.75)
+        sup.state = "q9"
         with pytest.raises(TransitionFault):
-            apply_action("q9")
+            sup.evaluate(0.1, 0.1, LOW_RISK, link_ok=True)
 
 
 class TestSignalSet:
@@ -102,44 +101,44 @@ class TestSignalSet:
 
 class TestTransitions:
     def test_load_onset_under_middle_risk_engages_priority(self):
-        assert transition(Q1, sig(HIGH_LATENCY, MIDDLE_RISK), TABLE) == Q3
+        assert transition(Q1, sig(HIGH_LATENCY, MIDDLE_RISK)) == Q3
 
     def test_quiet_self_loop(self):
-        assert transition(Q1, sig(LOW_LATENCY, LOW_RISK), TABLE) == Q1
+        assert transition(Q1, sig(LOW_LATENCY, LOW_RISK)) == Q1
 
     def test_high_risk_is_proactive(self):
-        assert transition(Q1, sig(LOW_LATENCY, HIGH_RISK), TABLE) == Q2
+        assert transition(Q1, sig(LOW_LATENCY, HIGH_RISK)) == Q2
 
     def test_high_latency_low_risk_adapts_without_priority(self):
-        assert transition(Q1, sig(HIGH_LATENCY, LOW_RISK), TABLE) == Q4
+        assert transition(Q1, sig(HIGH_LATENCY, LOW_RISK)) == Q4
 
     def test_q3_holds_under_middle_risk_when_latency_recovers(self):
-        assert transition(Q3, sig(LOW_LATENCY, MIDDLE_RISK), TABLE) == Q3
+        assert transition(Q3, sig(LOW_LATENCY, MIDDLE_RISK)) == Q3
 
     def test_q3_releases_priority_when_risk_clears(self):
-        assert transition(Q3, sig(LOW_LATENCY, LOW_RISK), TABLE) == Q1
+        assert transition(Q3, sig(LOW_LATENCY, LOW_RISK)) == Q1
 
     def test_q3_escalates_only_with_persistence_and_grace(self):
         s = sig(HIGH_LATENCY, MIDDLE_RISK)
-        assert transition(Q3, s, TABLE, hl_persistent=False) == Q3
-        assert transition(Q3, s, TABLE, hl_persistent=True,
+        assert transition(Q3, s, hl_persistent=False) == Q3
+        assert transition(Q3, s, hl_persistent=True,
                           escalate_ok=False) == Q3
-        assert transition(Q3, s, TABLE, hl_persistent=True,
+        assert transition(Q3, s, hl_persistent=True,
                           escalate_ok=True) == Q5
 
     def test_q3_escalation_targets_q6_under_high_risk(self):
         s = sig(HIGH_LATENCY, HIGH_RISK)
-        assert transition(Q3, s, TABLE, hl_persistent=True,
+        assert transition(Q3, s, hl_persistent=True,
                           escalate_ok=True) == Q6
 
     def test_rate_floor_with_high_latency_falls_back(self):
         for state in (Q4, Q5, Q6):
-            assert transition(state, sig(HIGH_LATENCY, MIDDLE_RISK), TABLE,
+            assert transition(state, sig(HIGH_LATENCY, MIDDLE_RISK),
                               at_rate_floor=True) == QA
 
     def test_unknown_state_raises(self):
         with pytest.raises(TransitionFault):
-            transition("q0", sig(LOW_LATENCY, LOW_RISK), TABLE)
+            transition("q0", sig(LOW_LATENCY, LOW_RISK))
 
     @pytest.mark.parametrize("start,max_steps", [
         (Q1, 2), (Q2, 2), (Q3, 2), (Q4, 1), (Q5, 1), (Q6, 1), (QA, 0)])
@@ -148,16 +147,15 @@ class TestTransitions:
         steps = 0
         while state != QA:
             state = transition(state, sig(LOW_LATENCY, MIDDLE_RISK,
-                                          lost=True), TABLE)
+                                          lost=True))
             steps += 1
             assert steps <= max_steps
         assert state == QA
 
     def test_autonomy_recovers_when_link_restored(self):
-        assert transition(QA, sig(LOW_LATENCY, LOW_RISK), TABLE) == Q1
-        assert transition(QA, sig(HIGH_LATENCY, LOW_RISK), TABLE) == QA
-        assert transition(QA, sig(LOW_LATENCY, LOW_RISK, lost=True),
-                          TABLE) == QA
+        assert transition(QA, sig(LOW_LATENCY, LOW_RISK)) == Q1
+        assert transition(QA, sig(HIGH_LATENCY, LOW_RISK)) == QA
+        assert transition(QA, sig(LOW_LATENCY, LOW_RISK, lost=True)) == QA
 
 
 class TestEmitSignals:
@@ -225,6 +223,10 @@ class TestSupervisor:
     def make(self, **kw):
         return QosSupervisor(th_lat=0.75, **kw)
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            self.make(mode="random")
+
     def test_mitigation_ordering_under_middle_risk(self):
         # a monotone-worsening latency trajectory must engage priority (q3)
         # before any rate-adaptation state
@@ -267,13 +269,17 @@ class TestSupervisor:
     def test_every_taken_transition_is_listed(self):
         rng = np.random.default_rng(99)
         sup = self.make(escalation_grace_evals=2)
+        transitions = []
         for _ in range(500):
-            sup.evaluate(float(rng.random()), float(rng.random()),
-                         [LOW_RISK, MIDDLE_RISK, HIGH_RISK][rng.integers(3)],
-                         link_ok=bool(rng.random() > 0.05),
-                         at_rate_floor=bool(rng.random() < 0.1))
-        assert sup.transitions, "walk should move at least once"
-        for before, _, after in sup.transitions:
+            ev = sup.evaluate(
+                float(rng.random()), float(rng.random()),
+                [LOW_RISK, MIDDLE_RISK, HIGH_RISK][rng.integers(3)],
+                link_ok=bool(rng.random() > 0.05),
+                at_rate_floor=bool(rng.random() < 0.1))
+            if ev.state != ev.state_before:
+                transitions.append((ev.state_before, ev.state))
+        assert transitions, "walk should move at least once"
+        for before, after in transitions:
             assert after in SUCCESSORS[before]
 
     def test_deterministic_replay(self):

@@ -127,6 +127,16 @@ class TestLoadConfig:
          r"plant: kp must be positive"),
         ("dynamic_qos_bg", ("pfsm", "rate_floor_bps"), 50e6,
          r"pfsm\.rate_floor_bps: must not exceed"),
+        ("no_qos_no_bg", ("duration_ms",), 1000.3,
+         r"\.duration_ms: 1000\.3 ms must be a whole number of TTIs"),
+        ("no_qos_no_bg", ("reporting_interval_ms",), 100.2,
+         r"\.reporting_interval_ms: 100\.2 ms must be a whole number"),
+        ("dynamic_qos_bg", ("pfsm", "eval_period_ms"), 100.25,
+         r"pfsm\.eval_period_ms: 100\.25 ms must be a whole number"),
+        ("dynamic_qos_bg", ("plant", "plant_dt_ms"), 0.75,
+         r"plant\.plant_dt_ms: 0\.75 ms must be a whole number"),
+        ("dynamic_qos_bg", ("plant", "period_ms"), 10.1,
+         r"plant\.period_ms: 10\.1 ms must be a whole number"),
     ])
     def test_rejection_carries_key_path(self, name, path, value, message):
         raw = raw_scenario(name)
@@ -297,6 +307,50 @@ class TestCli:
         assert (out / "2.0" / "trace.csv").exists()
         assert (out / "8.0" / "trace.csv").exists()
         assert r.stdout.count("scenario priority_qos_bg") == 2
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 2, 2),        # clamped to the CPUs
+        (64, 8, 3),        # clamped to the values
+        (3, None, None),   # unknown CPU count: one process, no pool
+        (1, 8, None),
+    ])
+    def test_sweep_pool_is_clamped(self, tmp_path, monkeypatch, capsys,
+                                   jobs, cpus, workers):
+        from uavqos import cli
+
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        short = tmp_path / "short.yaml"
+        raw = raw_scenario("no_qos_no_bg")
+        raw["duration_ms"] = 10.0
+        short.write_text(yaml.safe_dump(raw))
+        assert cli.main(["sweep", "--config", str(short), "--param", "seed",
+                         "--values", "1,2,3", "--jobs", str(jobs)]) == 0
+        assert pools == ([workers] if workers else [])
+        assert capsys.readouterr().out.count("scenario no_qos_no_bg") == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_sweep_rejects_jobs_below_one(self, capsys, jobs):
+        from uavqos import cli
+
+        assert cli.main(["sweep", "--config", "no_qos_no_bg", "--param",
+                         "seed", "--values", "1", "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.startswith("config error: --jobs")
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_malformed_yaml_is_a_config_error(self, tmp_path, command):

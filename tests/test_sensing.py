@@ -7,6 +7,7 @@ samples, explicit EMA iteration).
 
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestClutterProb:
 
 class TestWindowMean:
     def test_simple_mean(self):
-        assert window_mean([10.0, 20.0, 30.0], 3) == 20.0
+        assert window_mean([10.0, 20.0, 30.0]) == 20.0
 
     def test_empty_returns_sentinel(self):
         assert window_mean([]) is None
@@ -94,15 +95,14 @@ class TestWindowMean:
     @given(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=200),
            st.integers(1, 50))
     def test_equals_brute_force_slice_mean(self, samples, n):
-        w = deque_like = samples
-        got = window_mean(deque_like, n)
+        got = window_mean(deque(samples, maxlen=n))
         tail = samples[-n:]
         brute = sum(tail) / len(tail)
         assert got == brute   # exact, same arithmetic order
 
     @given(st.floats(-1e6, 1e6), st.integers(1, 100))
     def test_constant_stream_idempotent(self, c, n):
-        assert window_mean([c] * n, n) == pytest.approx(c)
+        assert window_mean([c] * n) == pytest.approx(c)
 
     def test_ring_buffer_retains_latest(self):
         w = LatencyWindows(cam_len=3, cc_len=5, cam_weight=0.35,
