@@ -13,8 +13,8 @@ from .plant import CircularReference, ControllerConfig, PlantState, \
     controller_tick, onboard_fallback_tick, plant_step, run_fixed_delay_loop
 from .scenario import ConfigError, ScenarioConfig, builtin_config_path, \
     load_config, parse_config
-from .scheduler import LinkConfig, Packet, QosFlow, head_of_line_delay, \
-    schedule_tti, set_priority
+from .scheduler import LinkConfig, Packet, QosFlow, schedule_tti, \
+    set_priority
 from .sensing import LatencyWindows, PointCloud, RiskState, SigmoidParams, \
     clutter_prob, latency_condition, risk_update, sigmoid_prob, spaciousness, \
     synth_point_cloud, window_mean

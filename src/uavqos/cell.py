@@ -153,6 +153,18 @@ class PacedSource:
         return out
 
 
+class _Direction:
+    """One link direction: its flows and the packets in flight on it."""
+
+    __slots__ = ("link", "flows", "in_flight", "last_arrival")
+
+    def __init__(self, link: LinkConfig):
+        self.link = link
+        self.flows: list[QosFlow] = []
+        self.in_flight: deque[Packet] = deque()
+        self.last_arrival = 0.0
+
+
 class CellModel:
     """One cell: uplink and downlink schedulers plus the attached traffic.
 
@@ -165,23 +177,19 @@ class CellModel:
         self.uplink = uplink
         self.downlink = downlink
         self.flows: dict[int, QosFlow] = {}
-        self._ul_flows: list[QosFlow] = []
-        self._dl_flows: list[QosFlow] = []
+        # uplink first: delivery order and the jitter draw order follow it
+        self._directions = {UPLINK: _Direction(uplink),
+                            DOWNLINK: _Direction(downlink)}
         self._sources: list[tuple[object, QosFlow]] = []
         self.clock = 0.0
-        self._in_flight_ul: deque = deque()
-        self._in_flight_dl: deque = deque()
-        self._last_arrival = {UPLINK: 0.0, DOWNLINK: 0.0}
         self.outages: list[tuple[float, float]] = []
         self.jitter_ms = jitter_ms
         self.jitter_rng = jitter_rng
-        self._next_flow_id = 0
 
     def add_flow(self, direction: str, priority_slope: float = 1.0) -> QosFlow:
-        flow = QosFlow(self._next_flow_id, direction, priority_slope)
-        self._next_flow_id += 1
+        flow = QosFlow(len(self.flows), direction, priority_slope)
         self.flows[flow.id] = flow
-        (self._ul_flows if direction == UPLINK else self._dl_flows).append(flow)
+        self._directions[direction].flows.append(flow)
         return flow
 
     def attach_source(self, source, flow: QosFlow):
@@ -191,70 +199,56 @@ class CellModel:
         return any(a <= t_ms < b for a, b in self.outages)
 
     def enqueue_command(self, flow: QosFlow, created_at: float,
-                        echo_of: int, payload=None,
+                        control: Packet, payload=None,
                         size_bits: int = 2000) -> Packet:
-        """Edge-side injection of a downlink command correlated to an
-        uplink control packet."""
+        """Edge-side injection of a downlink command echoing the delivered
+        uplink `control` packet."""
         pkt = flow.make_packet(size_bits, created_at, COMMAND,
-                               ref=echo_of, payload=payload)
+                               ref=control, payload=payload)
         flow.enqueue(pkt, self.downlink.buffer_cap_bits)
         return pkt
 
-    def _arrival(self, direction: str, departure: float, base: float) -> float:
-        arrival = departure + base
-        if self.jitter_ms > 0.0 and self.jitter_rng is not None:
-            arrival += self.jitter_rng.uniform(-self.jitter_ms, self.jitter_ms)
-        # one FIFO pipe: jitter may stretch but never reorder
-        arrival = max(arrival, self._last_arrival[direction])
-        self._last_arrival[direction] = arrival
-        return arrival
-
-    def step(self):
-        """Advance one uplink TTI; returns [(arrival_ms, packet, direction)]
-        for every packet delivered during the tick."""
+    def step(self) -> list[Packet]:
+        """Advance one uplink TTI; returns the packets delivered during the
+        tick, uplink before downlink, each with its arrival time in
+        `delivered_at`."""
         end = self.clock + self.uplink.tti_ms
 
-        staged: dict[int, list] = {}
+        staged: dict[QosFlow, list] = {}
         for source, flow in self._sources:
             items = source.emit_until(end)
             if items:
-                staged.setdefault(flow.id, []).extend(items)
-        for fid, items in staged.items():
-            flow = self.flows[fid]
+                staged.setdefault(flow, []).extend(items)
+        for flow, items in staged.items():
             items.sort(key=lambda x: x[0])
-            cap = (self.uplink if flow.direction == UPLINK
-                   else self.downlink).buffer_cap_bits
+            cap = self._directions[flow.direction].link.buffer_cap_bits
             for due, size, kind, ref, payload in items:
                 flow.enqueue(flow.make_packet(size, due, kind, ref, payload),
                              cap)
 
-        if not self.in_outage(self.clock):
-            if self._ul_flows:
-                for pkt, dep in schedule_tti(self.uplink, self._ul_flows,
-                                             self.clock):
-                    self._in_flight_ul.append(
-                        (self._arrival(UPLINK, dep, self.uplink.base_delay_ms),
-                         pkt))
-            if self._dl_flows:
-                for pkt, dep in schedule_tti(self.downlink, self._dl_flows,
-                                             self.clock):
-                    self._in_flight_dl.append(
-                        (self._arrival(DOWNLINK, dep,
-                                       self.downlink.base_delay_ms), pkt))
-
+        schedule = not self.in_outage(self.clock)
+        jitter = self.jitter_ms if self.jitter_rng is not None else 0.0
         delivered = []
-        for queue, direction in ((self._in_flight_ul, UPLINK),
-                                 (self._in_flight_dl, DOWNLINK)):
-            while queue and queue[0][0] < end:
-                arrival, pkt = queue.popleft()
-                pkt.delivered_at = arrival
-                delivered.append((arrival, pkt, direction))
+        for d in self._directions.values():
+            if schedule and d.flows:
+                base = d.link.base_delay_ms
+                for pkt, dep in schedule_tti(d.link, d.flows, self.clock):
+                    arrival = dep + base
+                    if jitter > 0.0:
+                        arrival += self.jitter_rng.uniform(-jitter, jitter)
+                    # one FIFO pipe: jitter may stretch but never reorder
+                    arrival = max(arrival, d.last_arrival)
+                    d.last_arrival = arrival
+                    pkt.delivered_at = arrival
+                    d.in_flight.append(pkt)
+            queue = d.in_flight
+            while queue and queue[0].delivered_at < end:
+                delivered.append(queue.popleft())
         self.clock = end
         return delivered
 
     def buffered_bits(self, direction: str = UPLINK) -> float:
-        flows = self._ul_flows if direction == UPLINK else self._dl_flows
-        return sum(f.buffered_bits for f in flows)
+        return sum(f.buffered_bits for f in self._directions[direction].flows)
 
 
 def measure_rtt(control_packet: Packet, command_packet: Packet) -> float:

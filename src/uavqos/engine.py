@@ -79,10 +79,6 @@ class TraceRecord:
     P_cs: float
     tracking_error: float  # m
 
-    FIELDS = ("time", "state", "signals", "ul_buffer", "rtt", "cam_latency",
-              "cam_rate", "uav_goodput", "bg_goodput", "s_k", "P_lat",
-              "P_cs", "tracking_error")
-
 
 @dataclass
 class PhaseSummary:
@@ -171,7 +167,6 @@ class Simulation:
         self.edge_state: Optional[tuple] = None
         self.edge_cmd = np.zeros(3)
         self.applied_cmd = np.zeros(3)
-        self.pending_ctrl: dict[int, object] = {}
         self.last_rtt_arrival = 0.0
         self.cam_rate_req = config.camera.rate_bps if config.camera else 0.0
         self.next_adapt_ms: Optional[float] = None
@@ -276,6 +271,7 @@ class Simulation:
         interval_rtt_sum = 0.0
         interval_rtt_n = 0
         bg_window = cfg.background.active_window_ms if cfg.background else None
+        uav_id = self.uav_flow.id
 
         for k in range(n_ticks):
             t = k * tti
@@ -303,30 +299,28 @@ class Simulation:
                     delayed, cfg.plant,
                     ref_velocity=self.reference.velocity(t))
 
-            for arrival, pkt, direction in self.cell.step():
-                if direction == UPLINK:
-                    if pkt.flow_id == self.uav_flow.id:
-                        interval_uav += pkt.size
-                        if pkt.kind == CONTROL_STATE:
-                            self.pending_ctrl[pkt.id] = pkt
-                            self.edge_state = pkt.payload
-                            self.cell.enqueue_command(
-                                self.cmd_flow, arrival, pkt.id,
-                                payload=self.edge_cmd,
-                                size_bits=cfg.command_packet_bits)
-                        elif pkt.kind == CAMERA and pkt.payload[1]:
-                            sample = arrival - pkt.payload[0]
-                            self.windows.push_camera(sample)
-                            self.cam_latency_last = sample
-                    else:
-                        interval_bg += pkt.size
-                elif pkt.kind == COMMAND:
-                    rtt = measure_rtt(self.pending_ctrl.pop(pkt.ref), pkt)
+            for pkt in self.cell.step():
+                if pkt.kind == COMMAND:
+                    rtt = measure_rtt(pkt.ref, pkt)
                     self.windows.push_control(rtt)
                     interval_rtt_sum += rtt
                     interval_rtt_n += 1
-                    self.last_rtt_arrival = arrival
+                    self.last_rtt_arrival = pkt.delivered_at
                     self.applied_cmd = pkt.payload
+                elif pkt.flow_id == uav_id:
+                    interval_uav += pkt.size
+                    if pkt.kind == CONTROL_STATE:
+                        self.edge_state = pkt.payload
+                        self.cell.enqueue_command(
+                            self.cmd_flow, pkt.delivered_at, pkt,
+                            payload=self.edge_cmd,
+                            size_bits=cfg.command_packet_bits)
+                    elif pkt.kind == CAMERA and pkt.payload[1]:
+                        sample = pkt.delivered_at - pkt.payload[0]
+                        self.windows.push_camera(sample)
+                        self.cam_latency_last = sample
+                else:
+                    interval_bg += pkt.size
 
             t_end = (k + 1) * tti
             if (k + 1) % eval_every == 0:

@@ -24,9 +24,10 @@ def _fmt(value) -> str:
 
 
 def trace_csv_lines(traces: list[TraceRecord]):
-    yield ",".join(TraceRecord.FIELDS)
+    names = [f.name for f in dataclasses.fields(TraceRecord)]
+    yield ",".join(names)
     for rec in traces:
-        yield ",".join(_fmt(getattr(rec, name)) for name in TraceRecord.FIELDS)
+        yield ",".join(_fmt(getattr(rec, name)) for name in names)
 
 
 def summary_json(summary: RunSummary) -> str:

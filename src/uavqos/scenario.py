@@ -145,6 +145,12 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
         raise ConfigError(f"{label}.environment: segments must be ordered "
                           "by until_ms")
     for i, src in enumerate(cfg.uav_sources):
+        if src.kind == ONOFF_BACKGROUND:     # the engine would drop it
+            raise ConfigError(f"{label}.uav_sources[{i}].kind: "
+                              f"{ONOFF_BACKGROUND} belongs under background")
+        if src.kind == CBR_FRAMES and src is not cfg.camera:
+            raise ConfigError(f"{label}.uav_sources[{i}]: at most one "
+                              "cbr_frames camera source is supported")
         if src.kind == PERIODIC_SMALL and src.rate_bps % 1 == 0 and \
                 src.rate_bps < src.packet_bits:
             raise ConfigError(f"{label}.uav_sources[{i}]: periodic rate "

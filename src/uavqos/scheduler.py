@@ -32,17 +32,18 @@ PACKET_KINDS = frozenset({CONTROL_STATE, COMMAND, CAMERA, BACKGROUND})
 
 
 class Packet:
-    """One schedulable unit of traffic.
+    """One schedulable unit of traffic, from its source to the engine.
 
-    `ref` correlates a packet with its context (camera frame index, or the
-    id of the control packet a command echoes); `payload` carries opaque
-    application data (state snapshots, command values).
+    `ref` correlates a packet with its context (camera frame index; for a
+    command, the control packet it echoes); `payload` carries opaque
+    application data (state snapshots, command values). `delivered_at` is
+    the arrival time, set when the last bit is sent.
     """
 
-    __slots__ = ("id", "flow_id", "size", "created_at", "kind", "ref",
-                 "payload", "delivered_at")
+    __slots__ = ("flow_id", "size", "created_at", "kind", "ref", "payload",
+                 "delivered_at")
 
-    def __init__(self, id, flow_id, size, created_at, kind, ref=None,
+    def __init__(self, flow_id, size, created_at, kind, ref=None,
                  payload=None):
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
@@ -50,7 +51,6 @@ class Packet:
             raise ValueError("packet created_at must be non-negative")
         if kind not in PACKET_KINDS:
             raise ValueError(f"unknown packet kind {kind!r}")
-        self.id = id
         self.flow_id = flow_id
         self.size = size
         self.created_at = created_at
@@ -60,7 +60,7 @@ class Packet:
         self.delivered_at = None
 
     def __repr__(self):
-        return (f"Packet(id={self.id}, flow={self.flow_id}, size={self.size},"
+        return (f"Packet(flow={self.flow_id}, size={self.size},"
                 f" created_at={self.created_at}, kind={self.kind})")
 
 
@@ -99,8 +99,7 @@ class QosFlow:
 
     __slots__ = ("id", "direction", "priority_slope", "weight", "buffer",
                  "head_served_bits", "buffered_bits", "enqueued_bits",
-                 "delivered_bits", "dropped_bits", "_next_packet_id",
-                 "_pending_slope")
+                 "delivered_bits", "dropped_bits")
 
     def __init__(self, id: int, direction: str, priority_slope: float = 1.0):
         if priority_slope <= 0:
@@ -117,14 +116,9 @@ class QosFlow:
         self.enqueued_bits = 0.0
         self.delivered_bits = 0.0
         self.dropped_bits = 0.0
-        self._next_packet_id = 0
-        self._pending_slope = None
 
     def make_packet(self, size, created_at, kind, ref=None, payload=None) -> Packet:
-        pkt = Packet(self._next_packet_id, self.id, size, created_at, kind,
-                     ref, payload)
-        self._next_packet_id += 1
-        return pkt
+        return Packet(self.id, size, created_at, kind, ref, payload)
 
     def enqueue(self, packet: Packet, buffer_cap_bits=None) -> bool:
         """Append to the FIFO; returns False on tail-drop at the cap."""
@@ -148,29 +142,24 @@ class QosFlow:
         return discarded
 
 
-def head_of_line_delay(flow: QosFlow, now: float) -> float:
-    """Age in ms of the oldest buffered packet; 0 for an empty buffer."""
-    if not flow.buffer:
-        return 0.0
-    return now - flow.buffer[0].created_at
-
-
 def set_priority(flow: QosFlow, new_slope: float) -> QosFlow:
-    """Replace the flow's slope; takes effect at the next TTI boundary."""
+    """Replace the flow's slope; the accumulated weight is kept. Callers
+    run between TTIs, so the next `schedule_tti` grows the weight by the
+    new slope."""
     if new_slope <= 0:
         raise ValueError("priority slope must be positive")
-    flow._pending_slope = new_slope
+    flow.priority_slope = new_slope
     return flow
 
 
 def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
     """Run one TTI of the scheduler over `flows`.
 
-    Weight update happens first (pending slope changes apply, backlogged
-    flows grow by their slope, empty flows reset to zero), then the
-    max-weight backlogged flow is granted the TTI budget. Ties break toward
-    the higher slope, then the lower flow id. If the grantee drains, the
-    remainder spills to the next flow by the same ordering.
+    Weight update happens first (backlogged flows grow by their slope,
+    empty flows reset to zero), then the max-weight backlogged flow is
+    granted the TTI budget. Ties break toward the higher slope, then the
+    lower flow id. If the grantee drains, the remainder spills to the next
+    flow by the same ordering.
 
     Returns (packet, departure_ms) for every packet whose last bit was sent
     this TTI, in departure order.
@@ -179,9 +168,6 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
         raise ValueError("schedule_tti requires at least one flow")
 
     for f in flows:
-        if f._pending_slope is not None:
-            f.priority_slope = f._pending_slope
-            f._pending_slope = None
         if f.buffered_bits > 0:
             f.weight += f.priority_slope
         else:

@@ -10,6 +10,14 @@ def raw_scenario(name: str) -> dict:
         return yaml.safe_load(fh)
 
 
+def head_of_line_delay(flow, now: float) -> float:
+    """Age in ms of the flow's oldest buffered packet; 0 for an empty
+    buffer."""
+    if not flow.buffer:
+        return 0.0
+    return now - flow.buffer[0].created_at
+
+
 def make_config(name: str, **top_level):
     """Bundled scenario with top-level keys replaced."""
     raw = copy.deepcopy(raw_scenario(name))

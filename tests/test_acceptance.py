@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_config, raw_scenario
+from conftest import head_of_line_delay, make_config, raw_scenario
 from test_scheduler import grant_tti, oracle_winner_sequence, run_backlogged
 from uavqos.cell import CellModel, FrameSource, PacedSource, PeriodicSource
 from uavqos.engine import run
@@ -35,7 +35,6 @@ from uavqos.scheduler import (
     UPLINK,
     LinkConfig,
     QosFlow,
-    head_of_line_delay,
 )
 from uavqos.sensing import (
     LOW_RISK,

@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from conftest import head_of_line_delay
 from uavqos.cell import (
     CellModel,
     FrameSource,
@@ -18,7 +19,6 @@ from uavqos.scheduler import (
     DOWNLINK,
     UPLINK,
     LinkConfig,
-    head_of_line_delay,
 )
 
 UL = LinkConfig(81.3e6, 0.5, 13.65)
@@ -44,26 +44,24 @@ def drive(cell, uav, cmd_flow, bg, duration_ms, echo=True, exchanges=None):
     """Run the cell with the edge echoing every control packet; RTT samples
     are (control created_at, rtt) pairs, and `exchanges`, when given,
     collects the matching (control, command) packets."""
-    pending = {}
     rtts = []
     uav_bits = bg_bits = 0.0
     deliveries = 0
     for k in range(int(duration_ms / UL.tti_ms)):
-        for arrival, pkt, direction in cell.step():
+        for pkt in cell.step():
             deliveries += 1
-            if direction == UPLINK:
-                if pkt.kind == CONTROL_STATE and echo:
-                    pending[pkt.id] = pkt
-                    cell.enqueue_command(cmd_flow, arrival, pkt.id)
-                if pkt.flow_id == uav.id:
-                    uav_bits += pkt.size
-                elif bg is not None and pkt.flow_id == bg.id:
-                    bg_bits += pkt.size
-            elif pkt.kind == COMMAND:
-                ctrl = pending.pop(pkt.ref)
+            if pkt.kind == COMMAND:
+                ctrl = pkt.ref
                 rtts.append((ctrl.created_at, measure_rtt(ctrl, pkt)))
                 if exchanges is not None:
                     exchanges.append((ctrl, pkt))
+                continue
+            if pkt.kind == CONTROL_STATE and echo:
+                cell.enqueue_command(cmd_flow, pkt.delivered_at, pkt)
+            if pkt.flow_id == uav.id:
+                uav_bits += pkt.size
+            elif bg is not None and pkt.flow_id == bg.id:
+                bg_bits += pkt.size
     return rtts, uav_bits, bg_bits, deliveries
 
 

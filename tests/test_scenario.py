@@ -1,5 +1,6 @@
 """Config loading, run orchestration, emission, and CLI surface tests."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config, raw_scenario
-from uavqos.engine import run
+from uavqos.engine import TraceRecord, run
 from uavqos.output import emit, summary_json, trace_csv_lines
 from uavqos.scenario import (
     BUILTIN_SCENARIOS,
@@ -38,7 +39,12 @@ def leaf_paths(node, path=()):
 
 
 def set_leaf(raw, path, value):
-    functools.reduce(operator.getitem, path[:-1], raw)[path[-1]] = value
+    """Set the leaf at `path`; an index one past a list's end appends."""
+    parent = functools.reduce(operator.getitem, path[:-1], raw)
+    if isinstance(parent, list) and path[-1] == len(parent):
+        parent.append(value)
+    else:
+        parent[path[-1]] = value
 
 
 def digest(lines) -> str:
@@ -137,6 +143,14 @@ class TestLoadConfig:
          r"plant\.plant_dt_ms: 0\.75 ms must be a whole number"),
         ("dynamic_qos_bg", ("plant", "period_ms"), 10.1,
          r"plant\.period_ms: 10\.1 ms must be a whole number"),
+        ("no_qos_no_bg", ("uav_sources", 2),
+         {"kind": "cbr_frames", "rate_bps": 1e6},
+         r"uav_sources\[2\]: at most one cbr_frames camera"),
+        ("no_qos_no_bg", ("uav_sources", 2),
+         {"kind": "onoff_background", "rate_bps": 1e6,
+          "active_window_ms": [0.0, 500.0]},
+         r"uav_sources\[2\]\.kind: onoff_background belongs under "
+         r"background"),
     ])
     def test_rejection_carries_key_path(self, name, path, value, message):
         raw = raw_scenario(name)
@@ -278,9 +292,8 @@ class TestCli:
         assert (out / "trace.csv").exists()
         assert (out / "summary.json").exists()
         header, first = (out / "trace.csv").read_text().splitlines()[:2]
-        assert header.split(",") == list(
-            __import__("uavqos.engine", fromlist=["TraceRecord"])
-            .TraceRecord.FIELDS)
+        assert header.split(",") == [
+            f.name for f in dataclasses.fields(TraceRecord)]
 
     def test_seed_override_changes_summary_seed(self, tmp_path):
         short = tmp_path / "short.yaml"
