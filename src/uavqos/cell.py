@@ -50,9 +50,8 @@ class FrameSource:
         self.active = True
         self._pending_rate: Optional[float] = None
         self._frame_idx = 0
-        self._plan: list[tuple[float, int, bool]] = []   # (due, size, last)
+        self._plan: list[tuple] = []   # this frame's emissions, due order
         self._plan_pos = 0
-        self._frame_start = 0.0
 
     def set_rate(self, rate_bps: float) -> float:
         """Request a new rate; effective at the next frame boundary."""
@@ -75,15 +74,16 @@ class FrameSource:
         frame_bits = round(self.rate_bps / self.frame_hz)
         n_full, rem = divmod(frame_bits, self.packet_bits)
         sizes = [self.packet_bits] * n_full + ([rem] if rem else [])
+        last = len(sizes) - 1
         spacing = self.frame_interval / len(sizes)
-        self._plan = [(start + i * spacing, size, i == len(sizes) - 1)
+        self._plan = [(start + i * spacing, size, self.kind,
+                       start if i == last else None)
                       for i, size in enumerate(sizes)]
         self._plan_pos = 0
-        self._frame_start = start
 
     def emit_until(self, end_ms: float):
-        """(due, size, kind, ref, payload) for every packet due before
-        end_ms; camera payload carries (frame_start, is_last)."""
+        """(due, size, kind, payload) for every packet due before end_ms;
+        only a frame's last packet carries a payload, the frame start."""
         out = []
         if not self.active:
             return out
@@ -93,12 +93,11 @@ class FrameSource:
                     break
                 self._build_frame()
                 self._frame_idx += 1
-            due, size, last = self._plan[self._plan_pos]
-            if due >= end_ms:
+            item = self._plan[self._plan_pos]
+            if item[0] >= end_ms:
                 break
             self._plan_pos += 1
-            out.append((due, size, self.kind, self._frame_idx - 1,
-                        (self._frame_start, last)))
+            out.append(item)
         return out
 
 
@@ -121,7 +120,7 @@ class PeriodicSource:
         while self._idx * self.period < end_ms:
             due = self._idx * self.period
             payload = self.payload_fn(due) if self.payload_fn else None
-            out.append((due, self.packet_bits, self.kind, self._idx, payload))
+            out.append((due, self.packet_bits, self.kind, payload))
             self._idx += 1
         return out
 
@@ -148,7 +147,7 @@ class PacedSource:
             due = start + self._idx * self.spacing
             if due >= end_ms or due >= stop:
                 break
-            out.append((due, self.packet_bits, self.kind, self._idx, None))
+            out.append((due, self.packet_bits, self.kind, None))
             self._idx += 1
         return out
 
@@ -222,8 +221,8 @@ class CellModel:
         for flow, items in staged.items():
             items.sort(key=lambda x: x[0])
             cap = self._directions[flow.direction].link.buffer_cap_bits
-            for due, size, kind, ref, payload in items:
-                flow.enqueue(flow.make_packet(size, due, kind, ref, payload),
+            for due, size, kind, payload in items:
+                flow.enqueue(flow.make_packet(size, due, kind, None, payload),
                              cap)
 
         schedule = not self.in_outage(self.clock)

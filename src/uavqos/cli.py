@@ -51,25 +51,23 @@ def _print_summary(summary):
               f"bg={ph.mean_bg_goodput_mbps:6.2f} Mbps")
 
 
-def _run_one(raw: dict, label: str, out_dir, formats):
+def _run_one(raw: dict, label: str, out_dir):
     cfg = parse_config(raw, label=label)
     traces, summary = run(cfg)
     if out_dir is not None:
-        emit(traces, summary, out_dir, formats)
+        emit(traces, summary, out_dir)
     return summary
 
 
 def _sweep_worker(args):
-    raw, label, out_dir, formats = args
-    summary = _run_one(raw, label, out_dir, formats)
-    return label, summary
+    raw, label, out_dir = args
+    return label, _run_one(raw, label, out_dir)
 
 
 def cmd_run(args) -> int:
     raw, path = read_config(args.config)
     raw = _apply_overrides(raw, args.seed, args.mode)
-    formats = tuple(args.format.split(","))
-    summary = _run_one(raw, path.name, args.out, formats)
+    summary = _run_one(raw, path.name, args.out)
     _print_summary(summary)
     return 0
 
@@ -98,7 +96,7 @@ def cmd_sweep(args) -> int:
         label = f"{args.param}={value}"
         out_dir = Path(args.out) / str(value).replace("/", "_") \
             if args.out else None
-        jobs.append((raw, label, out_dir, tuple(args.format.split(","))))
+        jobs.append((raw, label, out_dir))
 
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -125,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None,
                        help="directory for trace.csv / summary.json")
-    p_run.add_argument("--format", default="csv,json")
     p_run.add_argument("--mode", default=None,
                        choices=["deterministic", "stochastic"])
     p_run.set_defaults(func=cmd_run)
@@ -139,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--format", default="csv,json")
     p_sweep.add_argument("--mode", default=None,
                          choices=["deterministic", "stochastic"])
     p_sweep.add_argument("--jobs", type=int, default=1,

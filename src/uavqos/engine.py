@@ -8,6 +8,10 @@ the evaluation period. A run is a pure function of (config, seed).
 
 from __future__ import annotations
 
+import copy
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +42,7 @@ from .plant import (
 )
 from .scenario import ScenarioConfig
 from .scheduler import (
-    CAMERA,
+    BACKGROUND,
     COMMAND,
     CONTROL_STATE,
     DOWNLINK,
@@ -169,15 +173,14 @@ class Simulation:
         self.applied_cmd = np.zeros(3)
         self.last_rtt_arrival = 0.0
         self.cam_rate_req = config.camera.rate_bps if config.camera else 0.0
-        self.next_adapt_ms: Optional[float] = None
-        self.next_recover_ms: Optional[float] = None
+        self.rate_adapting = False         # direction of the rate steps
+        self.next_rate_step_ms = 0.0
         self.diverged_at: Optional[float] = None
         self.max_tracking_error = 0.0
         self._bg_flushed = False
         self.p_lat = 0.0
         self.p_cs = 0.0
         self.signals = SignalSet(LOW_LATENCY, "LR")
-        self.cam_latency_last = 0.0
         self.rtt_last = 0.0
 
     # -- callbacks -----------------------------------------------------
@@ -217,33 +220,25 @@ class Simulation:
             self.camera.set_active(True, t_ms)
 
     def _run_rate_adaptation(self, adapting: bool, low_latency: bool, t_ms):
+        """Step the camera rate down while adapting, or back up while the
+        latency is low, at most once per adaptation period; the first step
+        after the direction flips is taken at once."""
         if self.camera is None:
             return
+        if adapting != self.rate_adapting:
+            self.rate_adapting = adapting
+            self.next_rate_step_ms = t_ms
         pf = self.cfg.pfsm
         nominal = self.cfg.camera.rate_bps
-        if adapting:
-            self.next_recover_ms = None
-            if self.next_adapt_ms is None:
-                self.next_adapt_ms = t_ms
-            if t_ms >= self.next_adapt_ms:
-                self.cam_rate_req = rate_adapt_step(
-                    self.cam_rate_req, nominal, pf.rate_floor_bps,
-                    adapting=True, factor=pf.rate_adapt_factor)
-                self.camera.set_rate(self.cam_rate_req)
-                self.next_adapt_ms = t_ms + pf.rate_adapt_period_ms
-        else:
-            self.next_adapt_ms = None
-            if low_latency and self.offloaded and self.cam_rate_req < nominal:
-                if self.next_recover_ms is None:
-                    self.next_recover_ms = t_ms
-                if t_ms >= self.next_recover_ms:
-                    self.cam_rate_req = rate_adapt_step(
-                        self.cam_rate_req, nominal, pf.rate_floor_bps,
-                        adapting=False, factor=pf.rate_adapt_factor)
-                    self.camera.set_rate(self.cam_rate_req)
-                    self.next_recover_ms = t_ms + pf.rate_adapt_period_ms
-            elif self.cam_rate_req >= nominal:
-                self.next_recover_ms = None
+        recover = low_latency and self.offloaded and \
+            self.cam_rate_req < nominal
+        if t_ms < self.next_rate_step_ms or not (adapting or recover):
+            return
+        self.cam_rate_req = rate_adapt_step(
+            self.cam_rate_req, nominal, pf.rate_floor_bps,
+            adapting=adapting, factor=pf.rate_adapt_factor)
+        self.camera.set_rate(self.cam_rate_req)
+        self.next_rate_step_ms = t_ms + pf.rate_adapt_period_ms
 
     def _check_conservation(self, tick):
         for f in self.cell.flows.values():
@@ -271,12 +266,12 @@ class Simulation:
         interval_rtt_sum = 0.0
         interval_rtt_n = 0
         bg_window = cfg.background.active_window_ms if cfg.background else None
-        uav_id = self.uav_flow.id
 
         for k in range(n_ticks):
             t = k * tti
 
             if k and k % plant_every == 0 and self.diverged_at is None:
+                last = copy.copy(self.plant)
                 if self.offloaded:
                     self.plant.reference = self.reference.position(t)
                     cmd = self.applied_cmd
@@ -284,11 +279,13 @@ class Simulation:
                     self.plant.reference = self.hold_point
                     cmd = onboard_fallback_tick(self.plant, cfg.plant)
                 plant_step(self.plant, cmd, cfg.plant.plant_dt_ms)
+                if not math.isfinite(self.plant.tracking_error):
+                    self.plant = last       # hold the last finite state
+                    self.diverged_at = t
                 self.max_tracking_error = max(self.max_tracking_error,
                                               self.plant.tracking_error)
                 if self.plant.tracking_error > \
-                        cfg.plant.divergence_threshold_m or \
-                        not np.isfinite(self.plant.position).all():
+                        cfg.plant.divergence_threshold_m:
                     self.diverged_at = t
 
             if k % ctrl_every == 0 and self.edge_state is not None:
@@ -300,27 +297,27 @@ class Simulation:
                     ref_velocity=self.reference.velocity(t))
 
             for pkt in self.cell.step():
-                if pkt.kind == COMMAND:
+                kind = pkt.kind
+                if kind == COMMAND:
                     rtt = measure_rtt(pkt.ref, pkt)
                     self.windows.push_control(rtt)
                     interval_rtt_sum += rtt
                     interval_rtt_n += 1
                     self.last_rtt_arrival = pkt.delivered_at
                     self.applied_cmd = pkt.payload
-                elif pkt.flow_id == uav_id:
+                elif kind == BACKGROUND:
+                    interval_bg += pkt.size
+                else:
                     interval_uav += pkt.size
-                    if pkt.kind == CONTROL_STATE:
+                    if kind == CONTROL_STATE:
                         self.edge_state = pkt.payload
                         self.cell.enqueue_command(
                             self.cmd_flow, pkt.delivered_at, pkt,
                             payload=self.edge_cmd,
                             size_bits=cfg.command_packet_bits)
-                    elif pkt.kind == CAMERA and pkt.payload[1]:
-                        sample = pkt.delivered_at - pkt.payload[0]
-                        self.windows.push_camera(sample)
-                        self.cam_latency_last = sample
-                else:
-                    interval_bg += pkt.size
+                    elif pkt.payload is not None:   # a frame's last packet
+                        self.windows.push_camera(pkt.delivered_at
+                                                 - pkt.payload)
 
             t_end = (k + 1) * tti
             if (k + 1) % eval_every == 0:
@@ -340,7 +337,8 @@ class Simulation:
                     signals=str(self.signals),
                     ul_buffer=self.cell.buffered_bits(UPLINK),
                     rtt=self.rtt_last,
-                    cam_latency=self.cam_latency_last,
+                    cam_latency=self.windows.cam_window[-1]
+                    if self.windows.cam_window else 0.0,
                     cam_rate=(self.camera.rate_bps if self.camera else 0.0)
                     / 1e6,
                     uav_goodput=interval_uav * scale,
@@ -402,36 +400,20 @@ class Simulation:
                 bg_window[0] < t <= bg_window[1]
 
         phases: list[PhaseSummary] = []
-        group: list[TraceRecord] = []
-
-        def close(group):
-            if not group:
-                return
+        for (state, active), group in itertools.groupby(
+                traces, lambda r: (r.state, bg_active(r.time))):
+            group = list(group)
+            n = len(group)
             phases.append(PhaseSummary(
                 start_ms=group[0].time,
                 end_ms=group[-1].time,
-                state=group[0].state,
-                bg_active=bg_active(group[0].time),
-                mean_rtt_ms=sum(r.rtt for r in group) / len(group),
-                mean_uav_goodput_mbps=sum(r.uav_goodput for r in group)
-                / len(group),
-                mean_bg_goodput_mbps=sum(r.bg_goodput for r in group)
-                / len(group),
-                mean_cam_latency_ms=sum(r.cam_latency for r in group)
-                / len(group),
+                state=state,
+                bg_active=active,
+                mean_rtt_ms=sum(r.rtt for r in group) / n,
+                mean_uav_goodput_mbps=sum(r.uav_goodput for r in group) / n,
+                mean_bg_goodput_mbps=sum(r.bg_goodput for r in group) / n,
+                mean_cam_latency_ms=sum(r.cam_latency for r in group) / n,
             ))
-
-        for rec in traces:
-            if group and (rec.state != group[0].state
-                          or bg_active(rec.time) != bg_active(group[0].time)):
-                close(group)
-                group = []
-            group.append(rec)
-        close(group)
-
-        dwell: dict[str, int] = {}
-        for rec in traces:
-            dwell[rec.state] = dwell.get(rec.state, 0) + 1
 
         return RunSummary(
             name=cfg.name,
@@ -439,7 +421,7 @@ class Simulation:
             duration_ms=cfg.duration_ms,
             phases=phases,
             max_tracking_error_m=self.max_tracking_error,
-            state_dwell=dwell,
+            state_dwell=dict(Counter(r.state for r in traces)),
             stability="unstable" if self.diverged_at is not None else "stable",
             instability_time_ms=self.diverged_at,
         )

@@ -35,25 +35,19 @@ def summary_json(summary: RunSummary) -> str:
         + "\n"
 
 
-def emit(traces: list[TraceRecord], summary: RunSummary, out_dir,
-         formats=("csv", "json")) -> list[Path]:
-    """Write trace/summary files into out_dir; returns the paths written."""
+def emit(traces: list[TraceRecord], summary: RunSummary,
+         out_dir) -> list[Path]:
+    """Write trace.csv and summary.json into out_dir; returns their paths."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
-    written = []
+    trace, summ = out / TRACE_FILENAME, out / SUMMARY_FILENAME
     try:
-        if "csv" in formats:
-            path = out / TRACE_FILENAME
-            path.write_text("\n".join(trace_csv_lines(traces)) + "\n")
-            written.append(path)
-        if "json" in formats:
-            path = out / SUMMARY_FILENAME
-            path.write_text(summary_json(summary))
-            written.append(path)
+        trace.write_text("\n".join(trace_csv_lines(traces)) + "\n")
+        summ.write_text(summary_json(summary))
     except OSError as exc:
         raise OSError(f"failed writing under {out}: {exc}") from exc
-    return written
+    return [trace, summ]

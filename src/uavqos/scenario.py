@@ -43,6 +43,9 @@ POSITIVE = {"check": (lambda v: v > 0, "must be positive")}
 NON_NEGATIVE = {"check": (lambda v: v >= 0, "must be non-negative")}
 UNIT_INTERVAL = {"check": (lambda v: 0 < v < 1, "must lie in (0, 1)")}
 NON_EMPTY = {"check": (len, "must not be empty")}
+# a SourceConfig key that only one kind of source reads
+FRAMES_ONLY = {"read_by": CBR_FRAMES}
+BACKGROUND_ONLY = {"read_by": ONOFF_BACKGROUND}
 
 
 def _one_of(*choices):
@@ -54,10 +57,13 @@ class SourceConfig:
     kind: str = field(metadata=_one_of(CBR_FRAMES, PERIODIC_SMALL,
                                        ONOFF_BACKGROUND))
     rate_bps: float = field(metadata=POSITIVE)
-    frame_hz: float = field(default=30.0, metadata=POSITIVE)
+    frame_hz: float = field(default=30.0, metadata={**POSITIVE,
+                                                    **FRAMES_ONLY})
     packet_bits: int = field(default=12_000, metadata=POSITIVE)
-    active_window_ms: Optional[tuple[float, float]] = None
-    floor_bps: float = field(default=5e6, metadata=POSITIVE)
+    active_window_ms: Optional[tuple[float, float]] = field(
+        default=None, metadata=BACKGROUND_ONLY)
+    floor_bps: float = field(default=5e6, metadata={**POSITIVE,
+                                                    **FRAMES_ONLY})
 
 
 @dataclass
@@ -132,6 +138,16 @@ class ScenarioConfig:
                           "is required")
 
 
+def _check_source_keys(src: SourceConfig, path: str):
+    """A key that only another kind of source reads must keep its
+    default: the engine would ignore it."""
+    for f in fields(src):
+        owner = f.metadata.get("read_by", src.kind)
+        if owner != src.kind and getattr(src, f.name) != f.default:
+            raise ConfigError(f"{path}.{f.name}: read only by {owner} "
+                              f"sources, not by {src.kind}")
+
+
 def _check_scenario(cfg: ScenarioConfig, label: str):
     """The rules that relate one field to another."""
     pf = cfg.pfsm
@@ -151,10 +167,10 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
         if src.kind == CBR_FRAMES and src is not cfg.camera:
             raise ConfigError(f"{label}.uav_sources[{i}]: at most one "
                               "cbr_frames camera source is supported")
-        if src.kind == PERIODIC_SMALL and src.rate_bps % 1 == 0 and \
-                src.rate_bps < src.packet_bits:
+        if src.kind == PERIODIC_SMALL and src.rate_bps < src.packet_bits:
             raise ConfigError(f"{label}.uav_sources[{i}]: periodic rate "
                               "below one packet per second")
+        _check_source_keys(src, f"{label}.uav_sources[{i}]")
     if sum(s.kind == PERIODIC_SMALL for s in cfg.uav_sources) != 1:
         raise ConfigError(f"{label}.uav_sources: exactly one periodic_small "
                           "control source is required")
@@ -165,6 +181,7 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
         if cfg.background.active_window_ms is None:
             raise ConfigError(f"{label}.background.active_window_ms: "
                               "required for background traffic")
+        _check_source_keys(cfg.background, f"{label}.background")
     # the cell steps both directions at the uplink TTI
     if cfg.downlink.tti_ms != cfg.uplink.tti_ms:
         raise ConfigError(f"{label}.downlink.tti_ms: must equal "
@@ -176,18 +193,24 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
                         ("pfsm.eval_period_ms", pf.eval_period_ms),
                         ("plant.plant_dt_ms", cfg.plant.plant_dt_ms),
                         ("plant.period_ms", cfg.plant.period_ms)):
-        ratio = period / cfg.uplink.tti_ms
-        if abs(ratio - round(ratio)) > 1e-9:
+        ticks = period / cfg.uplink.tti_ms
+        if not 0.5 < ticks < 2 ** 63 or abs(ticks - round(ticks)) > 1e-9:
             raise ConfigError(f"{label}.{key}: {period} ms must be a whole "
-                              f"number of TTIs ({cfg.uplink.tti_ms} ms)")
+                              f"number of TTIs ({cfg.uplink.tti_ms} ms), "
+                              "from 1 to 2**63")
+    # the mission reference's phase, omega * t, must stay finite
+    if not math.isfinite(2.0 * math.pi / cfg.plant.circle_period_s
+                         * cfg.duration_ms):
+        raise ConfigError(f"{label}.plant.circle_period_s: "
+                          f"{cfg.plant.circle_period_s} s is too short")
     cam = cfg.camera
     # rate adaptation may lower the camera to its floor
-    if cam is not None and \
-            round(min(cam.rate_bps, cam.floor_bps) / cam.frame_hz) == 0:
+    if cam is not None and not 0.5 < min(cam.rate_bps, cam.floor_bps) \
+            / cam.frame_hz < 2 ** 63:
         raise ConfigError(f"{label}.uav_sources"
                           f"[{cfg.uav_sources.index(cam)}]: a frame of "
                           "min(rate_bps, floor_bps) / frame_hz rounds to "
-                          "0 bits")
+                          "0 bits or to 2**63 bits or more")
     if cfg.qos == "dynamic" and cam is None:
         raise ConfigError(f"{label}.uav_sources: dynamic QoS requires a "
                           "cbr_frames camera source (rate adaptation target)")
@@ -258,6 +281,8 @@ def _value(tp, value, path: str):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:    # NaN, inf, or a huge int
         raise ConfigError(f"{path}: must be finite, got {value}")
+    if tp is int and not abs(value) < 2 ** 63:
+        raise ConfigError(f"{path}: must fit in 64 bits, got {value}")
     return tp(value)
 
 

@@ -34,24 +34,24 @@ PACKET_KINDS = frozenset({CONTROL_STATE, COMMAND, CAMERA, BACKGROUND})
 class Packet:
     """One schedulable unit of traffic, from its source to the engine.
 
-    `ref` correlates a packet with its context (camera frame index; for a
-    command, the control packet it echoes); `payload` carries opaque
-    application data (state snapshots, command values). `delivered_at` is
-    the arrival time, set when the last bit is sent.
+    `kind` alone decides what the engine does with a delivered packet; each
+    kind rides exactly one flow. `ref` is set only on a command: the control
+    packet it echoes. `payload` carries application data: the state snapshot
+    on a control packet, the command value on a command, and the frame start
+    (ms) on a frame's last camera packet (None on the others).
+    `delivered_at` is the arrival time, set when the last bit is sent.
     """
 
-    __slots__ = ("flow_id", "size", "created_at", "kind", "ref", "payload",
+    __slots__ = ("size", "created_at", "kind", "ref", "payload",
                  "delivered_at")
 
-    def __init__(self, flow_id, size, created_at, kind, ref=None,
-                 payload=None):
+    def __init__(self, size, created_at, kind, ref=None, payload=None):
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
         if created_at < 0:
             raise ValueError("packet created_at must be non-negative")
         if kind not in PACKET_KINDS:
             raise ValueError(f"unknown packet kind {kind!r}")
-        self.flow_id = flow_id
         self.size = size
         self.created_at = created_at
         self.kind = kind
@@ -60,8 +60,8 @@ class Packet:
         self.delivered_at = None
 
     def __repr__(self):
-        return (f"Packet(flow={self.flow_id}, size={self.size},"
-                f" created_at={self.created_at}, kind={self.kind})")
+        return (f"Packet(size={self.size}, created_at={self.created_at},"
+                f" kind={self.kind})")
 
 
 @dataclass
@@ -118,7 +118,7 @@ class QosFlow:
         self.dropped_bits = 0.0
 
     def make_packet(self, size, created_at, kind, ref=None, payload=None) -> Packet:
-        return Packet(self.id, size, created_at, kind, ref, payload)
+        return Packet(size, created_at, kind, ref, payload)
 
     def enqueue(self, packet: Packet, buffer_cap_bits=None) -> bool:
         """Append to the FIFO; returns False on tail-drop at the cap."""

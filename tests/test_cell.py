@@ -14,6 +14,7 @@ from uavqos.cell import (
     measure_rtt,
 )
 from uavqos.scheduler import (
+    BACKGROUND,
     COMMAND,
     CONTROL_STATE,
     DOWNLINK,
@@ -40,7 +41,7 @@ def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6):
     return cell, uav, cmd, bg, cam
 
 
-def drive(cell, uav, cmd_flow, bg, duration_ms, echo=True, exchanges=None):
+def drive(cell, cmd_flow, duration_ms, echo=True, exchanges=None):
     """Run the cell with the edge echoing every control packet; RTT samples
     are (control created_at, rtt) pairs, and `exchanges`, when given,
     collects the matching (control, command) packets."""
@@ -58,10 +59,10 @@ def drive(cell, uav, cmd_flow, bg, duration_ms, echo=True, exchanges=None):
                 continue
             if pkt.kind == CONTROL_STATE and echo:
                 cell.enqueue_command(cmd_flow, pkt.delivered_at, pkt)
-            if pkt.flow_id == uav.id:
-                uav_bits += pkt.size
-            elif bg is not None and pkt.flow_id == bg.id:
+            if pkt.kind == BACKGROUND:
                 bg_bits += pkt.size
+            else:
+                uav_bits += pkt.size
     return rtts, uav_bits, bg_bits, deliveries
 
 
@@ -77,13 +78,12 @@ class TestStep:
 
     def test_single_source_goodput(self):
         cell, uav, cmd, bg, _ = build_cell()
-        _, uav_bits, _, _ = drive(cell, uav, cmd, bg, 10_000, echo=False)
+        _, uav_bits, _, _ = drive(cell, cmd, 10_000, echo=False)
         assert uav_bits / 10_000 * 1000 / 1e6 == pytest.approx(47.0, abs=1.0)
 
     def test_equal_slopes_split_capacity_fairly(self):
         cell, uav, cmd, bg, _ = build_cell(bg_window=(0.0, 20_000.0))
-        _, uav_bits, bg_bits, _ = drive(cell, uav, cmd, bg, 20_000,
-                                        echo=False)
+        _, uav_bits, bg_bits, _ = drive(cell, cmd, 20_000, echo=False)
         # warm-up is negligible over 20 s: both flows converge on ~40.65
         assert uav_bits / 20 / 1e6 == pytest.approx(40.65, abs=1.0)
         assert bg_bits / 20 / 1e6 == pytest.approx(40.65, abs=1.0)
@@ -92,7 +92,7 @@ class TestStep:
 class TestRtt:
     def test_unloaded_rtt_calibration(self):
         cell, uav, cmd, bg, _ = build_cell()
-        rtts, _, _, _ = drive(cell, uav, cmd, bg, 15_000)
+        rtts, _, _, _ = drive(cell, cmd, 15_000)
         vals = [rtt for sent_at, rtt in rtts if sent_at > 2_000]
         assert statistics.mean(vals) == pytest.approx(27.3, abs=1.0)
         assert statistics.pstdev(vals) < 0.2
@@ -100,13 +100,13 @@ class TestRtt:
     def test_prioritized_rtt_stays_within_jitter_of_unloaded(self):
         cell, uav, cmd, bg, _ = build_cell(uav_slope=8.0,
                                            bg_window=(0.0, 15_000.0))
-        rtts, _, _, _ = drive(cell, uav, cmd, bg, 15_000)
+        rtts, _, _, _ = drive(cell, cmd, 15_000)
         vals = [rtt for sent_at, rtt in rtts if sent_at > 2_000]
         assert statistics.mean(vals) == pytest.approx(28.1, abs=1.0)
 
     def test_unprioritized_overload_rtt_rises(self):
         cell, uav, cmd, bg, _ = build_cell(bg_window=(2_000.0, 30_000.0))
-        rtts, _, _, _ = drive(cell, uav, cmd, bg, 30_000)
+        rtts, _, _, _ = drive(cell, cmd, 30_000)
         by_time = [(t, rtt) for t, rtt in rtts if t > 4_000]
         quarters = len(by_time) // 4
         q_means = [statistics.mean(r for _, r in by_time[i * quarters:
@@ -119,7 +119,7 @@ class TestRtt:
     def test_additivity_exact(self):
         cell, uav, cmd, bg, _ = build_cell()
         exchanges = []
-        rtts, _, _, _ = drive(cell, uav, cmd, bg, 5_000, exchanges=exchanges)
+        rtts, _, _, _ = drive(cell, cmd, 5_000, exchanges=exchanges)
         assert len(exchanges) == len(rtts) > 0
         for (ctrl, cmd_pkt), (_, rtt) in zip(exchanges, rtts):
             assert rtt == (ctrl.delivered_at - ctrl.created_at) + \
@@ -139,7 +139,7 @@ class TestBufferDynamics:
 
     def test_overload_backlog_matches_closed_form(self):
         cell, uav, cmd, bg, _ = build_cell(bg_window=(0.0, 20_000.0))
-        drive(cell, uav, cmd, bg, 20_000, echo=False)
+        drive(cell, cmd, 20_000, echo=False)
         excess = (47e6 + 80e6 - 81.3e6) * 20.0
         assert cell.buffered_bits(UPLINK) == pytest.approx(excess, rel=0.02)
 
@@ -169,10 +169,13 @@ class TestSetSourceRate:
         cam = FrameSource(47e6, 30.0)
         cam.set_rate(47e6)
         frames = cam.emit_until(1000.0)
-        per_frame = {}
-        for due, size, _, ref, _ in frames:
-            per_frame[ref] = per_frame.get(ref, 0) + size
-        assert set(per_frame.values()) == {round(47e6 / 30)}
+        per_frame = [0]
+        for due, size, _, frame_start in frames:
+            per_frame[-1] += size
+            if frame_start is not None:    # the frame's last packet
+                per_frame.append(0)
+        assert per_frame.pop() == 0
+        assert set(per_frame) == {round(47e6 / 30)}
 
     def test_below_floor_clamps_and_flags(self):
         cam = FrameSource(47e6, 30.0, floor_bps=5e6)
@@ -207,7 +210,7 @@ class TestJitter:
         uav = cell.add_flow(UPLINK, 1.0)
         cmd = cell.add_flow(DOWNLINK, 1.0)
         cell.attach_source(PeriodicSource(100.0, 12_000), uav)
-        rtts, _, _, _ = drive(cell, uav, cmd, None, 3_000)
+        rtts, _, _, _ = drive(cell, cmd, 3_000)
         return [rtt for _, rtt in rtts]
 
     def test_jitter_perturbs_but_preserves_additivity(self):

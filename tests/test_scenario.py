@@ -151,6 +151,41 @@ class TestLoadConfig:
           "active_window_ms": [0.0, 500.0]},
          r"uav_sources\[2\]\.kind: onoff_background belongs under "
          r"background"),
+        ("no_qos_no_bg", ("duration_ms",), 1e308,
+         r"\.duration_ms: 1e\+308 ms must be a whole number of TTIs"),
+        ("dynamic_qos_bg", ("pfsm", "eval_period_ms"), 1e308,
+         r"pfsm\.eval_period_ms: 1e\+308 ms must be a whole number"),
+        ("dynamic_qos_bg", ("plant", "period_ms"), 1e308,
+         r"plant\.period_ms: 1e\+308 ms must be a whole number"),
+        ("dynamic_qos_bg", ("plant", "plant_dt_ms"), 1e308,
+         r"plant\.plant_dt_ms: 1e\+308 ms must be a whole number"),
+        ("dynamic_qos_bg", ("pfsm", "eval_period_ms"), 1e-10,
+         r"pfsm\.eval_period_ms: 1e-10 ms must be a whole number"),
+        ("no_qos_no_bg", ("reporting_interval_ms",), 1e-10,
+         r"\.reporting_interval_ms: 1e-10 ms must be a whole number"),
+        ("no_qos_no_bg", ("uav_sources", 0, "frame_hz"), 1e-308,
+         r"uav_sources\[0\]: .* rounds to 0 bits or to 2\*\*63 bits"),
+        ("dynamic_qos_bg", ("plant", "circle_period_s"), 1e-308,
+         r"plant\.circle_period_s: 1e-308 s is too short"),
+        ("dynamic_qos_bg", ("pfsm", "cam_window"), 1e308,
+         r"pfsm\.cam_window: must fit in 64 bits"),
+        ("dynamic_qos_bg", ("pfsm", "cc_window"), 1e308,
+         r"pfsm\.cc_window: must fit in 64 bits"),
+        ("dynamic_qos_bg", ("pfsm", "hl_persist_evals"), 1e308,
+         r"pfsm\.hl_persist_evals: must fit in 64 bits"),
+        ("no_qos_bg", ("uav_sources", 0, "active_window_ms"), [0.0, 500.0],
+         r"uav_sources\[0\]\.active_window_ms: read only by "
+         r"onoff_background sources, not by cbr_frames"),
+        ("no_qos_bg", ("uav_sources", 1, "frame_hz"), 10.0,
+         r"uav_sources\[1\]\.frame_hz: read only by cbr_frames"),
+        ("no_qos_bg", ("uav_sources", 1, "floor_bps"), 1e6,
+         r"uav_sources\[1\]\.floor_bps: read only by cbr_frames"),
+        ("no_qos_bg", ("background", "frame_hz"), 10.0,
+         r"background\.frame_hz: read only by cbr_frames"),
+        ("no_qos_bg", ("background", "floor_bps"), 1e6,
+         r"background\.floor_bps: read only by cbr_frames"),
+        ("no_qos_bg", ("uav_sources", 1, "rate_bps"), 6000.5,
+         r"uav_sources\[1\]: periodic rate below one packet per second"),
     ])
     def test_rejection_carries_key_path(self, name, path, value, message):
         raw = raw_scenario(name)
@@ -172,7 +207,8 @@ class TestLoadConfig:
         if raw.get("background"):
             raw["background"]["active_window_ms"] = [200.0, 800.0]
         path = data.draw(st.sampled_from(list(leaf_paths(raw))))
-        values = [math.nan, math.inf, -math.inf, -1, 0, "x", [], None]
+        values = [math.nan, math.inf, -math.inf, -1, 0, 1e-308, "x", [],
+                  None]
         old = functools.reduce(operator.getitem, path, raw)
         if type(old) in (int, float):
             values += [old * 0.5, old * 2]
@@ -375,6 +411,27 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith("config error:")
         assert "Traceback" not in r.stderr
+
+    def test_non_finite_plant_ends_unstable(self, tmp_path, capsys):
+        # kp * error overflows, so the plant state turns NaN mid-run; the
+        # run keeps the last finite state and reports the divergence
+        from uavqos import cli
+
+        raw = raw_scenario("no_qos_no_bg")
+        raw["duration_ms"] = 2_000.0
+        raw["plant"] = {"kp": 1e308, "circle_radius_m": 10.0}
+        path = tmp_path / "kp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out",
+                         str(out)]) == 0
+        assert "unstable at" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stability"] == "unstable"
+        assert math.isfinite(summary["max_tracking_error_m"])
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        cells = [c for row in rows for c in row.split(",")[3:]]
+        assert cells and all(math.isfinite(float(c)) for c in cells)
 
     def test_run_rejects_non_finite_number_with_path(self, tmp_path):
         nan = tmp_path / "nan.yaml"

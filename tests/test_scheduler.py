@@ -304,9 +304,9 @@ class TestInvariants:
 
 class TestPacketValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            Packet(0, 0, 0.0, CAMERA)
-        with pytest.raises(ValueError):
-            Packet(0, 100, -1.0, CAMERA)
-        with pytest.raises(ValueError):
-            Packet(0, 100, 0.0, "telemetry")
+        with pytest.raises(ValueError, match="size must be positive"):
+            Packet(0, 0.0, CAMERA)
+        with pytest.raises(ValueError, match="created_at must be"):
+            Packet(100, -1.0, CAMERA)
+        with pytest.raises(ValueError, match="unknown packet kind"):
+            Packet(100, 0.0, "telemetry")
