@@ -6,10 +6,16 @@ arrive one base delay after their departure instant. Camera frames are
 paced onto the uplink as MTU-sized packets spread across the frame
 interval, so a frame never monopolizes the FIFO ahead of the small control
 packets that share the flow.
+
+A flow holds the packets that carry nothing (background, every camera
+packet but a frame's last) as counted runs: only the packets the engine
+reads are objects of their own, and the cell counts the arrived bits of
+every packet per kind.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from typing import Callable, Optional
@@ -20,6 +26,7 @@ from .scheduler import (
     COMMAND,
     CONTROL_STATE,
     DOWNLINK,
+    PACKET_KINDS,
     UPLINK,
     LinkConfig,
     Packet,
@@ -153,14 +160,15 @@ class PacedSource:
 
 
 class _Direction:
-    """One link direction: its flows and the packets in flight on it."""
+    """One link direction: its flows and the packets in flight on it, as
+    (arrival, record) pairs in arrival order."""
 
     __slots__ = ("link", "flows", "in_flight", "last_arrival")
 
     def __init__(self, link: LinkConfig):
         self.link = link
         self.flows: list[QosFlow] = []
-        self.in_flight: deque[Packet] = deque()
+        self.in_flight: deque[tuple[float, Packet]] = deque()
         self.last_arrival = 0.0
 
 
@@ -169,6 +177,8 @@ class CellModel:
 
     Multiple sources may feed one flow (the platform's whole traffic
     profile rides a single QoS flow that is re-prioritized as one unit).
+    `arrived_bits` counts, per packet kind, the bits of every packet that
+    has arrived so far.
     """
 
     def __init__(self, uplink: LinkConfig, downlink: LinkConfig,
@@ -184,6 +194,7 @@ class CellModel:
         self.outages: list[tuple[float, float]] = []
         self.jitter_ms = jitter_ms
         self.jitter_rng = jitter_rng
+        self.arrived_bits = dict.fromkeys(PACKET_KINDS, 0.0)
 
     def add_flow(self, direction: str, priority_slope: float = 1.0) -> QosFlow:
         flow = QosFlow(len(self.flows), direction, priority_slope)
@@ -208,41 +219,67 @@ class CellModel:
         return pkt
 
     def step(self) -> list[Packet]:
-        """Advance one uplink TTI; returns the packets delivered during the
-        tick, uplink before downlink, each with its arrival time in
-        `delivered_at`."""
+        """Advance one uplink TTI; returns the packets that carry a payload
+        or a `ref` and arrived during the tick, uplink before downlink,
+        each with its arrival time in `delivered_at`. The bits of every
+        packet that arrived are added to `arrived_bits`."""
         end = self.clock + self.uplink.tti_ms
 
         staged: dict[QosFlow, list] = {}
         for source, flow in self._sources:
             items = source.emit_until(end)
             if items:
-                staged.setdefault(flow, []).extend(items)
-        for flow, items in staged.items():
-            items.sort(key=lambda x: x[0])
+                staged.setdefault(flow, []).append(items)
+        for flow, batches in staged.items():
+            items = batches[0] if len(batches) == 1 else \
+                sorted(itertools.chain(*batches), key=lambda x: x[0])
             cap = self._directions[flow.direction].link.buffer_cap_bits
-            for due, size, kind, payload in items:
-                flow.enqueue(flow.make_packet(size, due, kind, None, payload),
-                             cap)
+            # one record per packet that carries a payload, one per run of
+            # equal packets that carry nothing
+            i, n = 0, len(items)
+            while i < n:
+                due, bits, kind, payload = items[i]
+                j = i + 1
+                if payload is None:
+                    while j < n and items[j][3] is None and \
+                            items[j][1] == bits and items[j][2] == kind:
+                        j += 1
+                flow.enqueue(flow.make_packet(bits, due, kind, None, payload,
+                                              j - i), cap)
+                i = j
 
-        schedule = not self.in_outage(self.clock)
+        schedule = not (self.outages and self.in_outage(self.clock))
         jitter = self.jitter_ms if self.jitter_rng is not None else 0.0
+        arrived = self.arrived_bits
         delivered = []
         for d in self._directions.values():
-            if schedule and d.flows:
+            busy = False
+            if schedule:
+                for f in d.flows:
+                    if f.buffered_bits > 0:
+                        busy = True
+                    else:
+                        f.weight = 0.0    # as schedule_tti would
+            queue = d.in_flight
+            if busy:
                 base = d.link.base_delay_ms
-                for pkt, dep in schedule_tti(d.link, d.flows, self.clock):
+                last = d.last_arrival
+                for rec, dep in schedule_tti(d.link, d.flows, self.clock):
                     arrival = dep + base
                     if jitter > 0.0:
                         arrival += self.jitter_rng.uniform(-jitter, jitter)
                     # one FIFO pipe: jitter may stretch but never reorder
-                    arrival = max(arrival, d.last_arrival)
-                    d.last_arrival = arrival
-                    pkt.delivered_at = arrival
-                    d.in_flight.append(pkt)
-            queue = d.in_flight
-            while queue and queue[0].delivered_at < end:
-                delivered.append(queue.popleft())
+                    if arrival < last:
+                        arrival = last
+                    last = arrival
+                    queue.append((arrival, rec))
+                d.last_arrival = last
+            while queue and queue[0][0] < end:
+                arrival, rec = queue.popleft()
+                arrived[rec.kind] += rec.bits
+                if rec.payload is not None or rec.ref is not None:
+                    rec.delivered_at = arrival
+                    delivered.append(rec)
         self.clock = end
         return delivered
 

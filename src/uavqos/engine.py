@@ -43,6 +43,7 @@ from .plant import (
 from .scenario import ScenarioConfig
 from .scheduler import (
     BACKGROUND,
+    CAMERA,
     COMMAND,
     CONTROL_STATE,
     DOWNLINK,
@@ -262,7 +263,10 @@ class Simulation:
         report_every = int(round(cfg.reporting_interval_ms / tti))
 
         traces: list[TraceRecord] = []
-        interval_uav = interval_bg = 0.0
+        arrived = self.cell.arrived_bits
+        # integer-valued bit totals below 2**53 (the loader bounds the
+        # offered bits), so each interval's difference is exact
+        reported_uav = reported_bg = 0.0
         interval_rtt_sum = 0.0
         interval_rtt_n = 0
         bg_window = cfg.background.active_window_ms if cfg.background else None
@@ -305,19 +309,14 @@ class Simulation:
                     interval_rtt_n += 1
                     self.last_rtt_arrival = pkt.delivered_at
                     self.applied_cmd = pkt.payload
-                elif kind == BACKGROUND:
-                    interval_bg += pkt.size
-                else:
-                    interval_uav += pkt.size
-                    if kind == CONTROL_STATE:
-                        self.edge_state = pkt.payload
-                        self.cell.enqueue_command(
-                            self.cmd_flow, pkt.delivered_at, pkt,
-                            payload=self.edge_cmd,
-                            size_bits=cfg.command_packet_bits)
-                    elif pkt.payload is not None:   # a frame's last packet
-                        self.windows.push_camera(pkt.delivered_at
-                                                 - pkt.payload)
+                elif kind == CONTROL_STATE:
+                    self.edge_state = pkt.payload
+                    self.cell.enqueue_command(
+                        self.cmd_flow, pkt.delivered_at, pkt,
+                        payload=self.edge_cmd,
+                        size_bits=cfg.command_packet_bits)
+                else:                               # a frame's last packet
+                    self.windows.push_camera(pkt.delivered_at - pkt.payload)
 
             t_end = (k + 1) * tti
             if (k + 1) % eval_every == 0:
@@ -331,6 +330,8 @@ class Simulation:
                 if interval_rtt_n:
                     self.rtt_last = interval_rtt_sum / interval_rtt_n
                 scale = 1000.0 / cfg.reporting_interval_ms / 1e6
+                uav_bits = arrived[CONTROL_STATE] + arrived[CAMERA]
+                bg_bits = arrived[BACKGROUND]
                 traces.append(TraceRecord(
                     time=t_end,
                     state=self._static_state(),
@@ -341,14 +342,14 @@ class Simulation:
                     if self.windows.cam_window else 0.0,
                     cam_rate=(self.camera.rate_bps if self.camera else 0.0)
                     / 1e6,
-                    uav_goodput=interval_uav * scale,
-                    bg_goodput=interval_bg * scale,
+                    uav_goodput=(uav_bits - reported_uav) * scale,
+                    bg_goodput=(bg_bits - reported_bg) * scale,
                     s_k=self.risk.s if self.risk.s is not None else 0.0,
                     P_lat=self.p_lat,
                     P_cs=self.p_cs,
                     tracking_error=self.plant.tracking_error,
                 ))
-                interval_uav = interval_bg = 0.0
+                reported_uav, reported_bg = uav_bits, bg_bits
                 interval_rtt_sum, interval_rtt_n = 0.0, 0
                 self._check_conservation(k)
 

@@ -52,8 +52,15 @@ class PlantState:
 
 def _clamp(command: np.ndarray, limit: float) -> np.ndarray:
     norm = float(np.linalg.norm(command))
-    if norm > limit:
-        return command * (limit / norm)
+    if math.isfinite(norm):
+        return command * (limit / norm) if norm > limit else command
+    # the sum of squares overflowed: measure the command in units of its
+    # largest component, whose norm lies in [1, sqrt(3)]
+    big = float(np.abs(command).max())
+    unit = command / big
+    unit_norm = float(np.linalg.norm(unit))
+    if big > limit / unit_norm:
+        return unit * (limit / unit_norm)
     return command
 
 

@@ -211,12 +211,52 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
                           f"[{cfg.uav_sources.index(cam)}]: a frame of "
                           "min(rate_bps, floor_bps) / frame_hz rounds to "
                           "0 bits or to 2**63 bits or more")
+    _check_offered_bits(cfg, label)
     if cfg.qos == "dynamic" and cam is None:
         raise ConfigError(f"{label}.uav_sources: dynamic QoS requires a "
                           "cbr_frames camera source (rate adaptation target)")
     if cfg.qos == "dynamic" and pf.rate_floor_bps > cam.rate_bps:
         raise ConfigError(f"{label}.pfsm.rate_floor_bps: must not exceed "
                           f"the camera rate_bps {cam.rate_bps}")
+
+
+def _offered_bits(src: SourceConfig, span_ms: float) -> float:
+    """An upper bound on the bits `src` emits in `span_ms`: one more than
+    the packets (a camera: frames) that start in it, each of the largest
+    size the source can reach."""
+    if src.kind == CBR_FRAMES:
+        peak = max(src.rate_bps, src.floor_bps)
+        return (span_ms * src.frame_hz / 1000.0 + 1.0) * \
+            (peak / src.frame_hz + 0.5)
+    return (span_ms * src.rate_bps / src.packet_bits / 1000.0 + 1.0) * \
+        src.packet_bits
+
+
+def _check_offered_bits(cfg: ScenarioConfig, label: str):
+    """Every flow's bit counters must stay exact integers, so the bits its
+    sources can offer over the run must stay below 2**53. The platform
+    flow carries the uav sources, the background flow the background, and
+    the command flow one command per control packet."""
+    uav = {}
+    for i, src in enumerate(cfg.uav_sources):
+        key = "floor_bps" if src.kind == CBR_FRAMES and \
+            src.floor_bps > src.rate_bps else "rate_bps"
+        uav[f"uav_sources[{i}].{key}"] = _offered_bits(src, cfg.duration_ms)
+    ctrl = cfg.control
+    commands = _offered_bits(ctrl, cfg.duration_ms) / ctrl.packet_bits
+    flows = [uav, {"command_packet_bits": commands * cfg.command_packet_bits}]
+    bg = cfg.background
+    if bg is not None:
+        start, stop = bg.active_window_ms
+        span = max(min(stop, cfg.duration_ms) - start, 0.0)
+        flows.append({"background.rate_bps": _offered_bits(bg, span)})
+    for offered in flows:
+        total = sum(offered.values())
+        if not total < 2 ** 53:
+            key = max(offered, key=offered.get)
+            raise ConfigError(f"{label}.{key}: the flow's sources offer up "
+                              f"to {total:.4g} bits over the run, which "
+                              "must stay below 2**53")
 
 
 @functools.cache

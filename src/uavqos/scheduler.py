@@ -15,6 +15,7 @@ the primary grantee's weight is reset.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -32,36 +33,41 @@ PACKET_KINDS = frozenset({CONTROL_STATE, COMMAND, CAMERA, BACKGROUND})
 
 
 class Packet:
-    """One schedulable unit of traffic, from its source to the engine.
+    """One FIFO record: `count` equal packets of `bits` bits each, carried
+    from their source to the engine.
 
     `kind` alone decides what the engine does with a delivered packet; each
-    kind rides exactly one flow. `ref` is set only on a command: the control
-    packet it echoes. `payload` carries application data: the state snapshot
-    on a control packet, the command value on a command, and the frame start
-    (ms) on a frame's last camera packet (None on the others).
-    `delivered_at` is the arrival time, set when the last bit is sent.
+    kind rides exactly one flow. A packet the engine reads carries a
+    `payload` or a `ref` and is a record of count 1: `ref` is set only on a
+    command, the control packet it echoes, and `payload` holds the state
+    snapshot on a control packet, the command value on a command, and the
+    frame start (ms) on a frame's last camera packet. The other packets
+    carry nothing, and a flow holds a run of them as one record whose
+    `created_at` is its first packet's. `delivered_at` is the arrival time
+    of a packet that carries something.
     """
 
-    __slots__ = ("size", "created_at", "kind", "ref", "payload",
+    __slots__ = ("bits", "count", "created_at", "kind", "ref", "payload",
                  "delivered_at")
 
-    def __init__(self, size, created_at, kind, ref=None, payload=None):
-        if size <= 0:
-            raise ValueError(f"packet size must be positive, got {size}")
-        if created_at < 0:
-            raise ValueError("packet created_at must be non-negative")
-        if kind not in PACKET_KINDS:
-            raise ValueError(f"unknown packet kind {kind!r}")
-        self.size = size
+    def __init__(self, bits, created_at, kind, ref=None, payload=None,
+                 count=1):
+        self.bits = bits
+        self.count = count
         self.created_at = created_at
         self.kind = kind
         self.ref = ref
         self.payload = payload
         self.delivered_at = None
 
+    @property
+    def size(self):
+        """Bits of the packets the record still holds."""
+        return self.bits * self.count
+
     def __repr__(self):
-        return (f"Packet(size={self.size}, created_at={self.created_at},"
-                f" kind={self.kind})")
+        return (f"Packet(bits={self.bits}, count={self.count}, "
+                f"created_at={self.created_at}, kind={self.kind})")
 
 
 @dataclass
@@ -95,7 +101,8 @@ class LinkConfig:
 
 
 class QosFlow:
-    """A schedulable data flow: FIFO byte buffer plus priority state."""
+    """A schedulable data flow: FIFO of packet records plus priority
+    state."""
 
     __slots__ = ("id", "direction", "priority_slope", "weight", "buffer",
                  "head_served_bits", "buffered_bits", "enqueued_bits",
@@ -111,25 +118,51 @@ class QosFlow:
         self.priority_slope = priority_slope
         self.weight = 0.0
         self.buffer: deque[Packet] = deque()
-        self.head_served_bits = 0.0   # partially transmitted head packet
+        self.head_served_bits = 0.0   # of the head record's first packet
         self.buffered_bits = 0.0
         self.enqueued_bits = 0.0
         self.delivered_bits = 0.0
         self.dropped_bits = 0.0
 
-    def make_packet(self, size, created_at, kind, ref=None, payload=None) -> Packet:
-        return Packet(size, created_at, kind, ref, payload)
+    def make_packet(self, bits, created_at, kind, ref=None, payload=None,
+                    count=1) -> Packet:
+        return Packet(bits, created_at, kind, ref, payload, count)
 
     def enqueue(self, packet: Packet, buffer_cap_bits=None) -> bool:
-        """Append to the FIFO; returns False on tail-drop at the cap."""
-        self.enqueued_bits += packet.size
-        if buffer_cap_bits is not None and \
-                self.buffered_bits + packet.size > buffer_cap_bits:
-            self.dropped_bits += packet.size
+        """Append the record's packets to the FIFO; returns False when the
+        cap tail-dropped any of them.
+
+        Each packet is accepted or dropped on its own, as if enqueued
+        alone. Packets that carry nothing extend the tail record when it
+        carries nothing either and holds packets of the same kind and
+        size."""
+        bits, count = packet.bits, packet.count
+        self.enqueued_bits += bits * count
+        cap = math.inf if buffer_cap_bits is None else buffer_cap_bits
+        buffered = self.buffered_bits
+        accepted = 0
+        for _ in range(count):
+            if buffered + bits > cap:
+                self.dropped_bits += bits
+            else:
+                buffered += bits
+                accepted += 1
+        self.buffered_bits = buffered
+        if not accepted:
             return False
-        self.buffer.append(packet)
-        self.buffered_bits += packet.size
-        return True
+        buf = self.buffer
+        tail = buf[-1] if buf else None
+        if tail is not None and tail.kind == packet.kind and \
+                tail.bits == bits and tail.payload is None and \
+                tail.ref is None and packet.payload is None and \
+                packet.ref is None:
+            tail.count += accepted
+        elif accepted == count:
+            buf.append(packet)
+        else:
+            buf.append(Packet(bits, packet.created_at, packet.kind,
+                              count=accepted))
+        return accepted == count
 
     def flush(self) -> float:
         """Discard all buffered bits (user departs / offload abandoned)."""
@@ -161,8 +194,9 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
     lower flow id. If the grantee drains, the remainder spills to the next
     flow by the same ordering.
 
-    Returns (packet, departure_ms) for every packet whose last bit was sent
-    this TTI, in departure order.
+    Returns (record, departure_ms) for every packet whose last bit was
+    sent this TTI, in departure order; a run's record comes once for each
+    of its packets that left.
     """
     if not flows:
         raise ValueError("schedule_tti requires at least one flow")
@@ -197,12 +231,15 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
         buf = best.buffer
         while take > 1e-9:
             head = buf[0]
-            head_left = head.size - best.head_served_bits
+            head_left = head.bits - best.head_served_bits
             if head_left <= take + 1e-9:
                 sent += head_left
                 take -= head_left
                 best.head_served_bits = 0.0
-                buf.popleft()
+                if head.count > 1:
+                    head.count -= 1
+                else:
+                    buf.popleft()
                 completed.append((head, now_ms + sent * 1000.0 / capacity))
             else:
                 best.head_served_bits += take

@@ -85,6 +85,27 @@ def outage_run():
     return run(parse_config(raw))
 
 
+def short_priority_run(edit):
+    """30 s of bundled priority_qos_bg with the background on from 5 to
+    20 s, after `edit` has changed the raw document."""
+    raw = raw_scenario("priority_qos_bg")
+    raw["duration_ms"] = 30_000.0
+    raw["background"]["active_window_ms"] = [5_000.0, 20_000.0]
+    edit(raw)
+    return run(parse_config(raw))
+
+
+@pytest.fixture(scope="module")
+def jitter_run():
+    return short_priority_run(lambda raw: raw.update(jitter_ms=0.8))
+
+
+@pytest.fixture(scope="module")
+def capped_run():
+    return short_priority_run(
+        lambda raw: raw["uplink"].update(buffer_cap_bits=600_000))
+
+
 # sha256 of the trace.csv and summary.json bytes `emit` writes for each run
 OUTPUT_DIGESTS = {
     "baseline_run": (
@@ -102,6 +123,12 @@ OUTPUT_DIGESTS = {
     "outage_run": (
         "4c571652cc624c322af6da6c091c9e9c577213013c1c74c8b3d95961558ceead",
         "47287fe269e8d82b6ae529a2ed76d54c14a75c3eb1794ca17e3eb8f3fa2cf6c3"),
+    "jitter_run": (
+        "5c888a31e1c04b18154bce7b218acb71e7c77e2ee635126d09075649e7f6b024",
+        "fc56a789adf8ad1a88fe4a8c6395fce38e42b79529d4b30b0d995f4997624d91"),
+    "capped_run": (
+        "ffc10ea4f9efe9701bedc34e4bf172d3077727c771a2f6d0fdb85013ca23d966",
+        "dec3d68651e8c339dcac7931ac7165677e5e2baf2f54e5499eee1f702e3af7e0"),
 }
 
 

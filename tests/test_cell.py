@@ -1,11 +1,15 @@
 """Cell-level behavior: goodput splits, RTT calibration, rate adjustment."""
 
 import math
+import random
 import statistics
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import head_of_line_delay
+from conftest import ReferenceLink, head_of_line_delay
 from uavqos.cell import (
     CellModel,
     FrameSource,
@@ -15,6 +19,7 @@ from uavqos.cell import (
 )
 from uavqos.scheduler import (
     BACKGROUND,
+    CAMERA,
     COMMAND,
     CONTROL_STATE,
     DOWNLINK,
@@ -26,13 +31,18 @@ UL = LinkConfig(81.3e6, 0.5, 13.65)
 DL = LinkConfig(1400e6, 0.5, 13.65)
 
 
+def stamped_control(hz=100.0):
+    """A control stream whose packets carry their due time, so that each
+    is delivered as a packet of its own."""
+    return PeriodicSource(hz, 12_000, payload_fn=lambda due: due)
+
+
 def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6):
     cell = CellModel(UL, DL)
     uav = cell.add_flow(UPLINK, uav_slope)
     cmd = cell.add_flow(DOWNLINK, 1.0)
-    ctrl = PeriodicSource(100.0, 12_000)
     cam = FrameSource(cam_rate, 30.0)
-    cell.attach_source(ctrl, uav)
+    cell.attach_source(stamped_control(), uav)
     cell.attach_source(cam, uav)
     bg = None
     if bg_window is not None:
@@ -43,10 +53,11 @@ def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6):
 
 def drive(cell, cmd_flow, duration_ms, echo=True, exchanges=None):
     """Run the cell with the edge echoing every control packet; RTT samples
-    are (control created_at, rtt) pairs, and `exchanges`, when given,
+    are (control created_at, rtt) pairs, the platform and background bits
+    are those that arrived during the drive, and `exchanges`, when given,
     collects the matching (control, command) packets."""
     rtts = []
-    uav_bits = bg_bits = 0.0
+    before = dict(cell.arrived_bits)
     deliveries = 0
     for k in range(int(duration_ms / UL.tti_ms)):
         for pkt in cell.step():
@@ -56,14 +67,11 @@ def drive(cell, cmd_flow, duration_ms, echo=True, exchanges=None):
                 rtts.append((ctrl.created_at, measure_rtt(ctrl, pkt)))
                 if exchanges is not None:
                     exchanges.append((ctrl, pkt))
-                continue
-            if pkt.kind == CONTROL_STATE and echo:
+            elif pkt.kind == CONTROL_STATE and echo:
                 cell.enqueue_command(cmd_flow, pkt.delivered_at, pkt)
-            if pkt.kind == BACKGROUND:
-                bg_bits += pkt.size
-            else:
-                uav_bits += pkt.size
-    return rtts, uav_bits, bg_bits, deliveries
+    arrived = {k: bits - before[k] for k, bits in cell.arrived_bits.items()}
+    uav_bits = arrived[CONTROL_STATE] + arrived[CAMERA]
+    return rtts, uav_bits, arrived[BACKGROUND], deliveries
 
 
 class TestStep:
@@ -209,7 +217,7 @@ class TestJitter:
                          jitter_rng=np.random.default_rng(seed))
         uav = cell.add_flow(UPLINK, 1.0)
         cmd = cell.add_flow(DOWNLINK, 1.0)
-        cell.attach_source(PeriodicSource(100.0, 12_000), uav)
+        cell.attach_source(stamped_control(), uav)
         rtts, _, _, _ = drive(cell, cmd, 3_000)
         return [rtt for _, rtt in rtts]
 
@@ -221,3 +229,84 @@ class TestJitter:
     def test_jitter_deterministic_per_seed(self):
         assert self.run_with_jitter(3) == self.run_with_jitter(3)
         assert self.run_with_jitter(3) != self.run_with_jitter(4)
+
+
+class ScriptedSource:
+    """Emits, on the next step, whatever the test put in `next`."""
+
+    def __init__(self):
+        self.next = []
+
+    def emit_until(self, _end_ms):
+        out, self.next = self.next, []
+        return out
+
+
+class TestRunLengthFifo:
+    """The cell's run-length FIFOs against per-packet FIFOs
+    (`conftest.ReferenceLink`) fed the same random traffic: payload-free
+    runs of mixed sizes and kinds between packets that carry a payload, a
+    budget that splits packets across TTIs, an optional cap, jitter, and
+    flushes in the middle of a partly served run."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_packet_reference(self, seed):
+        rng = random.Random(seed)
+        capacity = rng.choice([20e6, 23.3e6, 20.0003e6])
+        cap = rng.choice([None, 60_000, 150_000])
+        jitter = rng.choice([0.0, 0.3])
+        slopes = [rng.choice([1.0, 2.0, 8.0]) for _ in range(2)]
+        link = LinkConfig(capacity, 0.5, 1.5, buffer_cap_bits=cap)
+        cell = CellModel(link, DL, jitter_ms=jitter,
+                         jitter_rng=np.random.default_rng(seed)
+                         if jitter else None)
+        flows = [cell.add_flow(UPLINK, s) for s in slopes]
+        ref = ReferenceLink(link, slopes, jitter,
+                            np.random.default_rng(seed))
+        # flow 0: camera-like packets, some carrying a payload, plus a
+        # control stream; flow 1: background of mixed sizes
+        sources = [(ScriptedSource(), 0, CAMERA, [12_000, 12_000, 4_000],
+                    0.15, 3),
+                   (ScriptedSource(), 0, CONTROL_STATE, [12_000], 0.7, 1),
+                   (ScriptedSource(), 1, BACKGROUND, [12_000, 7_000], 0.0,
+                    rng.choice([1, 3, 5]))]
+        for src, fid, *_ in sources:
+            cell.attach_source(src, flows[fid])
+        next_id = 0
+        flushes = 0
+        for _ in range(400):
+            emitted = [[], []]
+            for src, fid, kind, sizes, p_payload, most in sources:
+                dues = sorted(cell.clock + rng.uniform(0.0, 0.5)
+                              for _ in range(rng.randint(0, most)))
+                for due in dues:
+                    payload = None
+                    if rng.random() < p_payload:
+                        payload, next_id = next_id, next_id + 1
+                    src.next.append((due, rng.choice(sizes), kind, payload))
+                emitted[fid] += src.next
+            emitted = [sorted(items, key=lambda x: x[0]) for items in emitted]
+            before = dict(cell.arrived_bits)
+
+            got = [(p.payload, p.delivered_at) for p in cell.step()]
+            want, want_bits = ref.step(emitted)
+            assert got == want
+            got_bits = {k: v - before[k] for k, v in cell.arrived_bits.items()
+                        if v != before[k]}
+            assert got_bits == want_bits
+
+            for flow, model in zip(flows, ref.flows):
+                if flow.head_served_bits > 0 and flow.buffer[0].count > 1 \
+                        and rng.random() < 0.3:
+                    flow.flush()
+                    model.flush()
+                    flushes += 1
+                assert (flow.enqueued_bits, flow.buffered_bits,
+                        flow.delivered_bits, flow.dropped_bits) == \
+                    (model.enqueued_bits, model.buffered_bits,
+                     model.delivered_bits, model.dropped_bits)
+                assert flow.enqueued_bits == pytest.approx(
+                    flow.buffered_bits + flow.delivered_bits
+                    + flow.dropped_bits)
+        assert flushes > 0

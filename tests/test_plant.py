@@ -7,6 +7,7 @@ from uavqos.plant import (
     CircularReference,
     ControllerConfig,
     PlantState,
+    _clamp,
     controller_tick,
     onboard_fallback_tick,
     plant_step,
@@ -33,6 +34,17 @@ class TestControllerTick:
                        reference=np.array([100.0, 0.0, 0.0]))
         cmd = controller_tick(s, CFG)
         assert np.linalg.norm(cmd) == pytest.approx(CFG.command_limit)
+
+    def test_clamp_survives_norm_overflow(self):
+        # the squares overflow, the command itself is finite
+        cmd = _clamp(np.array([1e300, 1e300, 0.0]), 5.0)
+        assert np.linalg.norm(cmd) == pytest.approx(5.0)
+        assert cmd == pytest.approx(np.array([1.0, 1.0, 0.0]) * 5.0
+                                    / np.sqrt(2.0))
+
+    def test_clamp_keeps_overflowing_command_below_limit(self):
+        cmd = np.array([1e200, 0.0, 0.0])
+        assert _clamp(cmd, 1e300) is cmd
 
     def test_holds_before_first_state(self):
         assert np.allclose(controller_tick(None, CFG), 0.0)

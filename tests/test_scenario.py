@@ -186,6 +186,17 @@ class TestLoadConfig:
          r"background\.floor_bps: read only by cbr_frames"),
         ("no_qos_bg", ("uav_sources", 1, "rate_bps"), 6000.5,
          r"uav_sources\[1\]: periodic rate below one packet per second"),
+        ("no_qos_bg", ("background", "rate_bps"), 1e308,
+         r"background\.rate_bps: the flow's sources offer up to inf bits"),
+        ("no_qos_no_bg", ("uav_sources", 1, "rate_bps"), 1e308,
+         r"uav_sources\[1\]\.rate_bps: the flow's sources offer up to inf"),
+        ("no_qos_no_bg", ("uav_sources", 0, "rate_bps"), 1e308,
+         r"uav_sources\[0\]\.rate_bps: the flow's sources offer up to inf"),
+        ("no_qos_no_bg", ("uav_sources", 0, "floor_bps"), 1e14,
+         r"uav_sources\[0\]\.floor_bps: the flow's sources offer up to "
+         r"1\.2e\+16 bits over the run, which must stay below 2\*\*53"),
+        ("no_qos_no_bg", ("command_packet_bits",), 2 ** 50,
+         r"\.command_packet_bits: the flow's sources offer up to"),
     ])
     def test_rejection_carries_key_path(self, name, path, value, message):
         raw = raw_scenario(name)
@@ -413,13 +424,16 @@ class TestCli:
         assert "Traceback" not in r.stderr
 
     def test_non_finite_plant_ends_unstable(self, tmp_path, capsys):
-        # kp * error overflows, so the plant state turns NaN mid-run; the
-        # run keeps the last finite state and reports the divergence
+        # commands of up to 1e308 drive the plant state past the float
+        # range and then kp * error overflows, so the state turns non-finite
+        # mid-run; the run keeps the last finite state and reports the
+        # divergence
         from uavqos import cli
 
         raw = raw_scenario("no_qos_no_bg")
         raw["duration_ms"] = 2_000.0
-        raw["plant"] = {"kp": 1e308, "circle_radius_m": 10.0}
+        raw["plant"] = {"kp": 1e308, "command_limit": 1e308,
+                        "circle_radius_m": 10.0}
         path = tmp_path / "kp.yaml"
         path.write_text(yaml.safe_dump(raw))
         out = tmp_path / "out"
@@ -432,6 +446,24 @@ class TestCli:
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         cells = [c for row in rows for c in row.split(",")[3:]]
         assert cells and all(math.isfinite(float(c)) for c in cells)
+
+    def test_overflowing_command_norm_is_clamped(self, tmp_path, capsys):
+        # kp * error stays finite but its norm overflows; the clamp must
+        # not turn the command into zero and let the plant coast
+        from uavqos import cli
+
+        raw = raw_scenario("no_qos_no_bg")
+        raw["duration_ms"] = 2_000.0
+        raw["plant"] = {"kp": 1e300, "command_limit": 1e308,
+                        "circle_radius_m": 10.0}
+        path = tmp_path / "kp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out",
+                         str(out)]) == 0
+        assert "unstable at" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stability"] == "unstable"
 
     def test_run_rejects_non_finite_number_with_path(self, tmp_path):
         nan = tmp_path / "nan.yaml"

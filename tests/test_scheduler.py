@@ -16,7 +16,6 @@ from uavqos.scheduler import (
     CONTROL_STATE,
     UPLINK,
     LinkConfig,
-    Packet,
     QosFlow,
     schedule_tti,
     set_priority,
@@ -218,7 +217,10 @@ class TestHeadOfLineDelay:
         for k in range(n_ttis):
             now = k * UL.tti_ms
             while emitted * spacing < now + UL.tti_ms:
-                f.enqueue(f.make_packet(pkt_bits, emitted * spacing, BACKGROUND))
+                # a payload keeps each packet a record of its own, with its
+                # own created_at; payload-free ones would merge into a run
+                f.enqueue(f.make_packet(pkt_bits, emitted * spacing,
+                                        BACKGROUND, payload=emitted))
                 emitted += 1
             schedule_tti(UL, [f], now)
             if k % 2000 == 0:
@@ -301,12 +303,3 @@ class TestInvariants:
         assert f.dropped_bits == 9_000
         assert f.buffered_bits == 9_000
 
-
-class TestPacketValidation:
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError, match="size must be positive"):
-            Packet(0, 0.0, CAMERA)
-        with pytest.raises(ValueError, match="created_at must be"):
-            Packet(100, -1.0, CAMERA)
-        with pytest.raises(ValueError, match="unknown packet kind"):
-            Packet(100, 0.0, "telemetry")
