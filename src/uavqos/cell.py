@@ -209,20 +209,20 @@ class CellModel:
         return any(a <= t_ms < b for a, b in self.outages)
 
     def enqueue_command(self, flow: QosFlow, created_at: float,
-                        control: Packet, payload=None,
+                        control: Packet, value=None,
                         size_bits: int = 2000) -> Packet:
         """Edge-side injection of a downlink command echoing the delivered
-        uplink `control` packet."""
+        uplink `control` packet; its payload is (control, value)."""
         pkt = flow.make_packet(size_bits, created_at, COMMAND,
-                               ref=control, payload=payload)
+                               (control, value))
         flow.enqueue(pkt, self.downlink.buffer_cap_bits)
         return pkt
 
-    def step(self) -> list[Packet]:
-        """Advance one uplink TTI; returns the packets that carry a payload
-        or a `ref` and arrived during the tick, uplink before downlink,
-        each with its arrival time in `delivered_at`. The bits of every
-        packet that arrived are added to `arrived_bits`."""
+    def step(self) -> list[tuple[float, Packet]]:
+        """Advance one uplink TTI; returns (arrival, packet) for each packet
+        that carries a payload and arrived during the tick, uplink before
+        downlink. The bits of every packet that arrived are added to
+        `arrived_bits`."""
         end = self.clock + self.uplink.tti_ms
 
         staged: dict[QosFlow, list] = {}
@@ -244,7 +244,7 @@ class CellModel:
                     while j < n and items[j][3] is None and \
                             items[j][1] == bits and items[j][2] == kind:
                         j += 1
-                flow.enqueue(flow.make_packet(bits, due, kind, None, payload,
+                flow.enqueue(flow.make_packet(bits, due, kind, payload,
                                               j - i), cap)
                 i = j
 
@@ -253,15 +253,8 @@ class CellModel:
         arrived = self.arrived_bits
         delivered = []
         for d in self._directions.values():
-            busy = False
-            if schedule:
-                for f in d.flows:
-                    if f.buffered_bits > 0:
-                        busy = True
-                    else:
-                        f.weight = 0.0    # as schedule_tti would
             queue = d.in_flight
-            if busy:
+            if schedule:
                 base = d.link.base_delay_ms
                 last = d.last_arrival
                 for rec, dep in schedule_tti(d.link, d.flows, self.clock):
@@ -277,9 +270,8 @@ class CellModel:
             while queue and queue[0][0] < end:
                 arrival, rec = queue.popleft()
                 arrived[rec.kind] += rec.bits
-                if rec.payload is not None or rec.ref is not None:
-                    rec.delivered_at = arrival
-                    delivered.append(rec)
+                if rec.payload is not None:
+                    delivered.append((arrival, rec))
         self.clock = end
         return delivered
 
@@ -287,10 +279,12 @@ class CellModel:
         return sum(f.buffered_bits for f in self._directions[direction].flows)
 
 
-def measure_rtt(control_packet: Packet, command_packet: Packet) -> float:
-    """Round trip of one delivered control packet and its delivered command
-    echo: the uplink leg plus the downlink leg (processing is out of
+def measure_rtt(control_packet: Packet, command_packet: Packet,
+                arrival: float) -> float:
+    """Round trip of one delivered control packet and its command echo,
+    which arrived at `arrival`: the uplink leg (the command is created when
+    the control packet arrives) plus the downlink leg (processing is out of
     scope)."""
-    ul = control_packet.delivered_at - control_packet.created_at
-    dl = command_packet.delivered_at - command_packet.created_at
+    ul = command_packet.created_at - control_packet.created_at
+    dl = arrival - command_packet.created_at
     return ul + dl

@@ -25,6 +25,7 @@ from .cell import (
     measure_rtt,
 )
 from .fsm import (
+    DETERMINISTIC,
     LOW_LATENCY,
     Q1,
     Q3,
@@ -161,10 +162,8 @@ class Simulation:
         self.risk = RiskState(alpha=pf.ema_alpha, beta=pf.ema_beta)
         self.supervisor = None
         if config.qos == "dynamic":
-            self.supervisor = QosSupervisor(
-                th_lat=pf.latency_threshold, mode=pf.mode, rng=self.rng_pfsm,
-                hl_persist_evals=pf.hl_persist_evals,
-                escalation_grace_evals=pf.escalation_grace_evals)
+            self.supervisor = QosSupervisor(pf.hl_persist_evals,
+                                            pf.escalation_grace_evals)
 
         # runtime state
         self.offloaded = True
@@ -300,23 +299,22 @@ class Simulation:
                     delayed, cfg.plant,
                     ref_velocity=self.reference.velocity(t))
 
-            for pkt in self.cell.step():
+            for arrival, pkt in self.cell.step():
                 kind = pkt.kind
                 if kind == COMMAND:
-                    rtt = measure_rtt(pkt.ref, pkt)
+                    control, self.applied_cmd = pkt.payload
+                    rtt = measure_rtt(control, pkt, arrival)
                     self.windows.push_control(rtt)
                     interval_rtt_sum += rtt
                     interval_rtt_n += 1
-                    self.last_rtt_arrival = pkt.delivered_at
-                    self.applied_cmd = pkt.payload
+                    self.last_rtt_arrival = arrival
                 elif kind == CONTROL_STATE:
                     self.edge_state = pkt.payload
                     self.cell.enqueue_command(
-                        self.cmd_flow, pkt.delivered_at, pkt,
-                        payload=self.edge_cmd,
-                        size_bits=cfg.command_packet_bits)
+                        self.cmd_flow, arrival, pkt, self.edge_cmd,
+                        cfg.command_packet_bits)
                 else:                               # a frame's last packet
-                    self.windows.push_camera(pkt.delivered_at - pkt.payload)
+                    self.windows.push_camera(arrival - pkt.payload)
 
             t_end = (k + 1) * tti
             if (k + 1) % eval_every == 0:
@@ -372,25 +370,26 @@ class Simulation:
                                            pf.cam_sigmoid, pf.cc_sigmoid)
         self.p_cs = clutter_prob(self.risk.s, pf.risk_sigmoid)
         link_ok = (t - self.last_rtt_arrival) <= pf.link_lost_timeout_ms
-        at_floor = self.camera is not None and \
-            self.cam_rate_req <= pf.rate_floor_bps
-
+        # static modes always threshold: the signal mode applies only to
+        # the supervisor's walk
+        self.signals = emit_signals(
+            self.p_lat, level, link_ok, pf.latency_threshold,
+            pf.mode if self.supervisor is not None else DETERMINISTIC,
+            self.rng_pfsm)
         if self.supervisor is None:
-            self.signals = emit_signals(self.p_lat, self.p_cs, level,
-                                        link_ok, pf.latency_threshold)
             return
 
+        at_floor = self.camera is not None and \
+            self.cam_rate_req <= pf.rate_floor_bps
         was_offloaded = self.offloaded
-        event = self.supervisor.evaluate(self.p_lat, self.p_cs, level,
-                                         link_ok, at_rate_floor=at_floor)
-        self.signals = event.signals
+        event = self.supervisor.evaluate(self.signals, at_rate_floor=at_floor)
         self._apply_qos(event.action.qos_enabled)
         if was_offloaded and not event.action.offload:
             self._enter_autonomy(t)
         elif not was_offloaded and event.action.offload:
             self._exit_autonomy(t)
         self._run_rate_adaptation(event.action.rate_adaptation,
-                                  event.signals.latency == LOW_LATENCY, t)
+                                  self.signals.latency == LOW_LATENCY, t)
 
     def _summarize(self, traces) -> RunSummary:
         cfg = self.cfg

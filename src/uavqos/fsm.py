@@ -174,10 +174,8 @@ def transition(current: str, signals: SignalSet, *,
     `hl_persistent` marks the high-latency flag as held across consecutive
     evaluations, `escalate_ok` that the post-engagement grace has elapsed,
     and `at_rate_floor` that rate adaptation has exhausted its range; the
-    caller owns this context.
+    caller owns this context. An unknown state raises `TransitionFault`.
     """
-    if current not in STATES:
-        raise TransitionFault(current, signals, "unknown state")
     nxt = _guard(current, signals, hl_persistent, escalate_ok, at_rate_floor)
     if nxt not in SUCCESSORS[current]:
         raise TransitionFault(current, signals,
@@ -185,25 +183,27 @@ def transition(current: str, signals: SignalSet, *,
     return nxt
 
 
-def emit_signals(p_lat: float, p_cs: float, risk_level: str, link_ok: bool,
+def emit_signals(p_lat: float, risk_level: str, link_ok: bool,
                  th_lat: float, mode: str = DETERMINISTIC,
                  rng: Optional[np.random.Generator] = None) -> SignalSet:
-    """Derive the transition signals from condition probabilities.
+    """Derive the transition signals from the latency probability.
 
     Deterministic mode thresholds the latency probability; stochastic mode
     asserts HL with probability p_lat through a seeded draw. The risk flag
     always comes from the band classification.
     """
-    if not 0.0 <= p_lat <= 1.0 or not 0.0 <= p_cs <= 1.0:
-        raise ValueError("condition probabilities must lie in [0, 1]")
+    if not 0.0 <= p_lat <= 1.0:
+        raise ValueError("latency probability must lie in [0, 1]")
     if risk_level not in RISK_FLAGS:
         raise ValueError(f"risk level must be one of {RISK_FLAGS}")
     if mode == STOCHASTIC:
         if rng is None:
             raise ValueError("stochastic mode requires a random generator")
         hl = bool(rng.random() < p_lat)
-    else:
+    elif mode == DETERMINISTIC:
         hl = p_lat >= th_lat
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     return SignalSet(HIGH_LATENCY if hl else LOW_LATENCY, risk_level,
                      link_lost=not link_ok)
 
@@ -227,40 +227,31 @@ class SupervisorEvent:
     """Outcome of one supervisor evaluation."""
 
     state_before: str
-    signals: SignalSet
     state: str
     action: ActionCommand
 
 
 class QosSupervisor:
-    """Drives the state machine once per evaluation period.
+    """Drives the state machine once per evaluation period on the signals
+    the caller derived (`emit_signals`).
 
     Owns the context the pure transition function cannot: HL persistence
-    across evaluations, the escalation grace after priority engagement, and
-    the rate-floor condition.
+    across evaluations and the escalation grace after priority engagement;
+    the caller reports the rate-floor condition.
     """
 
-    def __init__(self, th_lat: float, mode: str = DETERMINISTIC,
-                 rng: Optional[np.random.Generator] = None,
-                 hl_persist_evals: int = 2,
+    def __init__(self, hl_persist_evals: int = 2,
                  escalation_grace_evals: int = 10):
         if hl_persist_evals < 1:
             raise ValueError("persistence must span at least one evaluation")
-        if mode not in (DETERMINISTIC, STOCHASTIC):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.th_lat = th_lat
-        self.mode = mode
-        self.rng = rng
         self.state = Q1
         self.hl_persist_evals = hl_persist_evals
         self.escalation_grace_evals = escalation_grace_evals
         self._hl_history: deque[bool] = deque(maxlen=hl_persist_evals)
         self._evals_since_qos: Optional[int] = None
 
-    def evaluate(self, p_lat: float, p_cs: float, risk_level: str,
-                 link_ok: bool, at_rate_floor: bool = False) -> SupervisorEvent:
-        signals = emit_signals(p_lat, p_cs, risk_level, link_ok, self.th_lat,
-                               self.mode, self.rng)
+    def evaluate(self, signals: SignalSet,
+                 at_rate_floor: bool = False) -> SupervisorEvent:
         self._hl_history.append(signals.latency == HIGH_LATENCY)
         hl_persistent = (len(self._hl_history) == self.hl_persist_evals
                          and all(self._hl_history))
@@ -279,4 +270,4 @@ class QosSupervisor:
             self._evals_since_qos = 0
         elif not action.qos_enabled:
             self._evals_since_qos = None
-        return SupervisorEvent(before, signals, nxt, action)
+        return SupervisorEvent(before, nxt, action)

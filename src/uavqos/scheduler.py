@@ -38,27 +38,21 @@ class Packet:
 
     `kind` alone decides what the engine does with a delivered packet; each
     kind rides exactly one flow. A packet the engine reads carries a
-    `payload` or a `ref` and is a record of count 1: `ref` is set only on a
-    command, the control packet it echoes, and `payload` holds the state
-    snapshot on a control packet, the command value on a command, and the
-    frame start (ms) on a frame's last camera packet. The other packets
-    carry nothing, and a flow holds a run of them as one record whose
-    `created_at` is its first packet's. `delivered_at` is the arrival time
-    of a packet that carries something.
+    `payload` and is a record of count 1: the state snapshot on a control
+    packet, (the control packet it echoes, the command value) on a
+    command, and the frame start (ms) on a frame's last camera packet. The
+    other packets carry nothing, and a flow holds a run of them as one
+    record whose `created_at` is its first packet's.
     """
 
-    __slots__ = ("bits", "count", "created_at", "kind", "ref", "payload",
-                 "delivered_at")
+    __slots__ = ("bits", "count", "created_at", "kind", "payload")
 
-    def __init__(self, bits, created_at, kind, ref=None, payload=None,
-                 count=1):
+    def __init__(self, bits, created_at, kind, payload=None, count=1):
         self.bits = bits
         self.count = count
         self.created_at = created_at
         self.kind = kind
-        self.ref = ref
         self.payload = payload
-        self.delivered_at = None
 
     @property
     def size(self):
@@ -124,9 +118,9 @@ class QosFlow:
         self.delivered_bits = 0.0
         self.dropped_bits = 0.0
 
-    def make_packet(self, bits, created_at, kind, ref=None, payload=None,
+    def make_packet(self, bits, created_at, kind, payload=None,
                     count=1) -> Packet:
-        return Packet(bits, created_at, kind, ref, payload, count)
+        return Packet(bits, created_at, kind, payload, count)
 
     def enqueue(self, packet: Packet, buffer_cap_bits=None) -> bool:
         """Append the record's packets to the FIFO; returns False when the
@@ -154,8 +148,7 @@ class QosFlow:
         tail = buf[-1] if buf else None
         if tail is not None and tail.kind == packet.kind and \
                 tail.bits == bits and tail.payload is None and \
-                tail.ref is None and packet.payload is None and \
-                packet.ref is None:
+                packet.payload is None:
             tail.count += accepted
         elif accepted == count:
             buf.append(packet)
@@ -196,22 +189,23 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
 
     Returns (record, departure_ms) for every packet whose last bit was
     sent this TTI, in departure order; a run's record comes once for each
-    of its packets that left.
+    of its packets that left. An idle TTI (no flow backlogged, or no flow
+    at all) returns [] after the weight update.
     """
-    if not flows:
-        raise ValueError("schedule_tti requires at least one flow")
-
+    candidates = []
     for f in flows:
         if f.buffered_bits > 0:
             f.weight += f.priority_slope
+            candidates.append(f)
         else:
             f.weight = 0.0
+    if not candidates:
+        return []
 
     budget = link.tti_budget_bits
     capacity = link.capacity_bps
     completed: list[tuple[Packet, float]] = []
 
-    candidates = [f for f in flows if f.buffered_bits > 0]
     remaining = budget
     sent = 0.0  # bits already pushed onto the wire this TTI
     primary = True

@@ -3,6 +3,7 @@ from collections import deque
 
 import yaml
 
+from uavqos.cell import FrameSource
 from uavqos.scenario import builtin_config_path, parse_config
 
 
@@ -12,12 +13,25 @@ def raw_scenario(name: str) -> dict:
 
 
 def head_of_line_delay(flow, now: float) -> float:
-    """Age in ms of the flow's oldest buffered packet, the first of the head
-    record (a run of payload-free packets keeps only its first packet's
-    created_at); 0 for an empty buffer."""
+    """Age in ms of the head record's first packet; 0 for an empty buffer.
+
+    Exact only while the head record holds one packet. A run of
+    payload-free packets keeps its first packet's created_at after some of
+    them have left, so its age is overstated; feed the flow packets that
+    all carry a payload (`TaggedCamera`, a stamped control stream) to read
+    exact ages."""
     if not flow.buffer:
         return 0.0
     return now - flow.buffer[0].created_at
+
+
+class TaggedCamera(FrameSource):
+    """A camera whose every packet carries its due time as payload, so that
+    each packet is a record of its own."""
+
+    def emit_until(self, end_ms):
+        return [(due, size, kind, due)
+                for due, size, kind, _ in super().emit_until(end_ms)]
 
 
 def make_config(name: str, **top_level):

@@ -13,9 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import head_of_line_delay, make_config, raw_scenario
+from conftest import TaggedCamera, head_of_line_delay, make_config, \
+    raw_scenario
 from test_scheduler import grant_tti, oracle_winner_sequence, run_backlogged
-from uavqos.cell import CellModel, FrameSource, PacedSource, PeriodicSource
+from uavqos.cell import CellModel, PacedSource, PeriodicSource
 from uavqos.engine import run
 from uavqos.fsm import (
     HIGH_LATENCY,
@@ -191,8 +192,11 @@ def _uav_hol_series(duration_ms, onset_ms):
     dl = LinkConfig(1400e6, 0.5, 13.65)
     cell = CellModel(ul, dl)
     uav = cell.add_flow(UPLINK, 1.0)
-    cell.attach_source(PeriodicSource(100.0, 12_000), uav)
-    cell.attach_source(FrameSource(45.8e6, 30.0), uav)
+    # every platform packet carries a payload, so head_of_line_delay is
+    # exact
+    cell.attach_source(PeriodicSource(100.0, 12_000, payload_fn=lambda d: d),
+                       uav)
+    cell.attach_source(TaggedCamera(45.8e6, 30.0), uav)
     bg = cell.add_flow(UPLINK, 1.0)
     cell.attach_source(PacedSource(BG_OFFERED, (onset_ms, duration_ms)), bg)
     series = []
@@ -331,7 +335,7 @@ def test_criterion_7_pfsm_structure(dynamic_run):
 
     rng = np.random.default_rng(2024)
     n = 100_000
-    hits = sum(emit_signals(0.5, 0.5, LOW_RISK, True, 0.75, STOCHASTIC,
+    hits = sum(emit_signals(0.5, LOW_RISK, True, 0.75, STOCHASTIC,
                             rng).latency == HIGH_LATENCY for _ in range(n))
     assert abs(hits / n - 0.5) <= 0.01
     print(f"\nACCEPTANCE 7 PASS: every trace transition inside the published "

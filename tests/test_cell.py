@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ReferenceLink, head_of_line_delay
+import uavqos.cell
+from conftest import ReferenceLink, TaggedCamera, head_of_line_delay
 from uavqos.cell import (
     CellModel,
     FrameSource,
@@ -37,11 +38,12 @@ def stamped_control(hz=100.0):
     return PeriodicSource(hz, 12_000, payload_fn=lambda due: due)
 
 
-def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6):
+def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6,
+               camera=FrameSource):
     cell = CellModel(UL, DL)
     uav = cell.add_flow(UPLINK, uav_slope)
     cmd = cell.add_flow(DOWNLINK, 1.0)
-    cam = FrameSource(cam_rate, 30.0)
+    cam = camera(cam_rate, 30.0)
     cell.attach_source(stamped_control(), uav)
     cell.attach_source(cam, uav)
     bg = None
@@ -55,20 +57,24 @@ def drive(cell, cmd_flow, duration_ms, echo=True, exchanges=None):
     """Run the cell with the edge echoing every control packet; RTT samples
     are (control created_at, rtt) pairs, the platform and background bits
     are those that arrived during the drive, and `exchanges`, when given,
-    collects the matching (control, command) packets."""
+    collects (control, its arrival, command, its arrival) for every echo
+    that came back, from the arrival stamps `step` returns."""
     rtts = []
     before = dict(cell.arrived_bits)
     deliveries = 0
+    ctrl_arrival = {}
     for k in range(int(duration_ms / UL.tti_ms)):
-        for pkt in cell.step():
+        for arrival, pkt in cell.step():
             deliveries += 1
             if pkt.kind == COMMAND:
-                ctrl = pkt.ref
-                rtts.append((ctrl.created_at, measure_rtt(ctrl, pkt)))
+                ctrl, _ = pkt.payload
+                rtts.append((ctrl.created_at, measure_rtt(ctrl, pkt, arrival)))
                 if exchanges is not None:
-                    exchanges.append((ctrl, pkt))
+                    exchanges.append((ctrl, ctrl_arrival.pop(ctrl), pkt,
+                                      arrival))
             elif pkt.kind == CONTROL_STATE and echo:
-                cell.enqueue_command(cmd_flow, pkt.delivered_at, pkt)
+                ctrl_arrival[pkt] = arrival
+                cell.enqueue_command(cmd_flow, arrival, pkt)
     arrived = {k: bits - before[k] for k, bits in cell.arrived_bits.items()}
     uav_bits = arrived[CONTROL_STATE] + arrived[CAMERA]
     return rtts, uav_bits, arrived[BACKGROUND], deliveries
@@ -95,6 +101,63 @@ class TestStep:
         # warm-up is negligible over 20 s: both flows converge on ~40.65
         assert uav_bits / 20 / 1e6 == pytest.approx(40.65, abs=1.0)
         assert bg_bits / 20 / 1e6 == pytest.approx(40.65, abs=1.0)
+
+
+def count_schedule_calls(monkeypatch):
+    """Wrap the `schedule_tti` the cell calls; returns the list that
+    collects (link, now_ms, result) for every call."""
+    calls = []
+    real = uavqos.cell.schedule_tti
+
+    def counted(link, flows, now_ms):
+        result = real(link, flows, now_ms)
+        calls.append((link, now_ms, result))
+        return result
+
+    monkeypatch.setattr(uavqos.cell, "schedule_tti", counted)
+    return calls
+
+
+class TestIdleTtis:
+    """`schedule_tti` alone decides what an idle TTI does: the cell calls
+    it for each direction on every tick the link is up."""
+
+    def test_one_call_per_direction_per_tick_outside_outages(self,
+                                                            monkeypatch):
+        calls = count_schedule_calls(monkeypatch)
+        cell, uav, cmd, bg, _ = build_cell()
+        cell.outages = [(30.0, 40.0)]
+        drive(cell, cmd, 100.0)
+        up = [k * 0.5 for k in range(200) if not 30.0 <= k * 0.5 < 40.0]
+        assert [(link, now) for link, now, _ in calls] == \
+            [(link, now) for now in up for link in (UL, DL)]
+        # the downlink carried echoes, and was idle on most ticks
+        dl = [result for link, _, result in calls if link is DL]
+        assert any(dl) and dl.count([]) > len(dl) // 2
+
+    def test_all_idle_call_returns_nothing_and_zeroes_weights(self,
+                                                             monkeypatch):
+        calls = count_schedule_calls(monkeypatch)
+        cell = CellModel(UL, DL)
+        flows = [cell.add_flow(UPLINK, 1.0), cell.add_flow(UPLINK, 2.0),
+                 cell.add_flow(DOWNLINK, 1.0)]
+        for f in flows:
+            f.weight = 3.0
+        assert cell.step() == []
+        assert [(link, result) for link, _, result in calls] == \
+            [(UL, []), (DL, [])]
+        assert [f.weight for f in flows] == [0.0, 0.0, 0.0]
+
+    def test_cell_without_downlink_flow_steps(self, monkeypatch):
+        calls = count_schedule_calls(monkeypatch)
+        cell = CellModel(UL, DL)
+        uav = cell.add_flow(UPLINK, 1.0)
+        cell.attach_source(stamped_control(), uav)
+        cell.attach_source(FrameSource(45.8e6, 30.0), uav)
+        delivered = [pkt for _ in range(100) for _, pkt in cell.step()]
+        assert delivered and all(p.kind != COMMAND for p in delivered)
+        assert [result for link, _, result in calls if link is DL] == \
+            [[]] * 100
 
 
 class TestRtt:
@@ -129,15 +192,17 @@ class TestRtt:
         exchanges = []
         rtts, _, _, _ = drive(cell, cmd, 5_000, exchanges=exchanges)
         assert len(exchanges) == len(rtts) > 0
-        for (ctrl, cmd_pkt), (_, rtt) in zip(exchanges, rtts):
-            assert rtt == (ctrl.delivered_at - ctrl.created_at) + \
-                (cmd_pkt.delivered_at - cmd_pkt.created_at)
+        for (ctrl, ctrl_at, cmd_pkt, cmd_at), (_, rtt) in zip(exchanges,
+                                                               rtts):
+            assert cmd_pkt.created_at == ctrl_at
+            assert rtt == (ctrl_at - ctrl.created_at) + \
+                (cmd_at - cmd_pkt.created_at)
             assert rtt >= 2 * 13.65
 
 
 class TestBufferDynamics:
     def test_underload_head_of_line_bounded(self):
-        cell, uav, cmd, bg, _ = build_cell()
+        cell, uav, cmd, bg, _ = build_cell(camera=TaggedCamera)
         worst = 0.0
         for k in range(int(20_000 / 0.5)):
             cell.step()
@@ -152,7 +217,8 @@ class TestBufferDynamics:
         assert cell.buffered_bits(UPLINK) == pytest.approx(excess, rel=0.02)
 
     def test_uav_hol_delay_monotone_under_overload(self):
-        cell, uav, cmd, bg, _ = build_cell(bg_window=(1_000.0, 30_000.0))
+        cell, uav, cmd, bg, _ = build_cell(bg_window=(1_000.0, 30_000.0),
+                                           camera=TaggedCamera)
         samples = []
         for k in range(int(30_000 / 0.5)):
             cell.step()
@@ -289,7 +355,7 @@ class TestRunLengthFifo:
             emitted = [sorted(items, key=lambda x: x[0]) for items in emitted]
             before = dict(cell.arrived_bits)
 
-            got = [(p.payload, p.delivered_at) for p in cell.step()]
+            got = [(p.payload, arrival) for arrival, p in cell.step()]
             want, want_bits = ref.step(emitted)
             assert got == want
             got_bits = {k: v - before[k] for k, v in cell.arrived_bits.items()

@@ -81,10 +81,10 @@ class TestActions:
             assert _ACTIONS[state].offload == (state != QA)
 
     def test_unknown_state_is_structured_fault(self):
-        sup = QosSupervisor(th_lat=0.75)
+        sup = QosSupervisor()
         sup.state = "q9"
         with pytest.raises(TransitionFault):
-            sup.evaluate(0.1, 0.1, LOW_RISK, link_ok=True)
+            sup.evaluate(sig(LOW_LATENCY, LOW_RISK))
 
 
 class TestSignalSet:
@@ -160,31 +160,31 @@ class TestTransitions:
 
 class TestEmitSignals:
     def test_deterministic_thresholding(self):
-        s = emit_signals(0.99, 0.2, MIDDLE_RISK, link_ok=True, th_lat=0.75)
+        s = emit_signals(0.99, MIDDLE_RISK, link_ok=True, th_lat=0.75)
         assert s.flags == {"HL", "MR"}
-        s = emit_signals(0.01, 0.2, LOW_RISK, link_ok=True, th_lat=0.75)
+        s = emit_signals(0.01, LOW_RISK, link_ok=True, th_lat=0.75)
         assert s.flags == {"LL", "LR"}
 
     def test_link_loss_flag(self):
-        s = emit_signals(0.5, 0.5, LOW_RISK, link_ok=False, th_lat=0.75)
+        s = emit_signals(0.5, LOW_RISK, link_ok=False, th_lat=0.75)
         assert s.link_lost
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
-            emit_signals(1.2, 0.5, LOW_RISK, True, 0.5)
+            emit_signals(1.2, LOW_RISK, True, 0.5)
 
     def test_stochastic_frequency(self):
         rng = np.random.default_rng(1234)
         n = 100_000
         hits = sum(
-            emit_signals(0.5, 0.5, LOW_RISK, True, 0.75, STOCHASTIC,
+            emit_signals(0.5, LOW_RISK, True, 0.75, STOCHASTIC,
                          rng).latency == HIGH_LATENCY
             for _ in range(n))
         assert hits / n == pytest.approx(0.5, abs=0.01)
 
     def test_stochastic_requires_rng(self):
         with pytest.raises(ValueError):
-            emit_signals(0.5, 0.5, LOW_RISK, True, 0.75, STOCHASTIC, None)
+            emit_signals(0.5, LOW_RISK, True, 0.75, STOCHASTIC, None)
 
 
 class TestRateAdaptStep:
@@ -221,19 +221,20 @@ class TestRateAdaptStep:
 
 class TestSupervisor:
     def make(self, **kw):
-        return QosSupervisor(th_lat=0.75, **kw)
+        return QosSupervisor(**kw)
 
     def test_rejects_unknown_mode(self):
+        # the signal mode is checked where the signals are derived
         with pytest.raises(ValueError, match="unknown mode"):
-            self.make(mode="random")
+            emit_signals(0.5, LOW_RISK, True, 0.75, mode="random")
 
     def test_mitigation_ordering_under_middle_risk(self):
         # a monotone-worsening latency trajectory must engage priority (q3)
         # before any rate-adaptation state
         sup = self.make(escalation_grace_evals=3)
         visited = [sup.state]
-        for p_lat in [0.1, 0.3, 0.8, 0.9, 0.95, 0.99, 0.99, 0.99, 0.99]:
-            ev = sup.evaluate(p_lat, 0.3, MIDDLE_RISK, link_ok=True)
+        for latency in [LOW_LATENCY] * 2 + [HIGH_LATENCY] * 7:
+            ev = sup.evaluate(sig(latency, MIDDLE_RISK))
             visited.append(ev.state)
         assert Q3 in visited and Q5 in visited
         assert visited.index(Q3) < visited.index(Q5)
@@ -243,27 +244,27 @@ class TestSupervisor:
         states = []
         # HL held for 8 evaluations after engagement, then clears: the
         # machine must ride it out in q3
-        profile = [0.9] * 9 + [0.1] * 4
-        for p in profile:
-            states.append(sup.evaluate(p, 0.3, MIDDLE_RISK, True).state)
+        profile = [HIGH_LATENCY] * 9 + [LOW_LATENCY] * 4
+        for latency in profile:
+            states.append(sup.evaluate(sig(latency, MIDDLE_RISK)).state)
         assert set(states) == {Q3}
 
     def test_persistent_overload_escalates_after_grace(self):
         sup = self.make(escalation_grace_evals=5)
         last = None
         for _ in range(10):
-            last = sup.evaluate(0.99, 0.3, MIDDLE_RISK, True).state
+            last = sup.evaluate(sig(HIGH_LATENCY, MIDDLE_RISK)).state
         assert last == Q5
 
     def test_link_loss_descends_to_autonomy_and_back(self):
         sup = self.make()
-        sup.evaluate(0.1, 0.1, MIDDLE_RISK, True)
+        sup.evaluate(sig(LOW_LATENCY, MIDDLE_RISK))
         assert sup.state == Q1
-        sup.evaluate(0.1, 0.1, MIDDLE_RISK, link_ok=False)
+        sup.evaluate(sig(LOW_LATENCY, MIDDLE_RISK, lost=True))
         assert sup.state == Q4
-        sup.evaluate(0.1, 0.1, MIDDLE_RISK, link_ok=False)
+        sup.evaluate(sig(LOW_LATENCY, MIDDLE_RISK, lost=True))
         assert sup.state == QA
-        sup.evaluate(0.1, 0.1, LOW_RISK, link_ok=True)
+        sup.evaluate(sig(LOW_LATENCY, LOW_RISK))
         assert sup.state == Q1
 
     def test_every_taken_transition_is_listed(self):
@@ -272,9 +273,9 @@ class TestSupervisor:
         transitions = []
         for _ in range(500):
             ev = sup.evaluate(
-                float(rng.random()), float(rng.random()),
-                [LOW_RISK, MIDDLE_RISK, HIGH_RISK][rng.integers(3)],
-                link_ok=bool(rng.random() > 0.05),
+                sig(HIGH_LATENCY if rng.random() >= 0.75 else LOW_LATENCY,
+                    [LOW_RISK, MIDDLE_RISK, HIGH_RISK][rng.integers(3)],
+                    lost=bool(rng.random() <= 0.05)),
                 at_rate_floor=bool(rng.random() < 0.1))
             if ev.state != ev.state_before:
                 transitions.append((ev.state_before, ev.state))
@@ -288,9 +289,9 @@ class TestSupervisor:
             rng = np.random.default_rng(7)
             out = []
             for _ in range(300):
-                ev = sup.evaluate(float(rng.random()), 0.5, MIDDLE_RISK,
-                                  link_ok=True)
-                out.append((ev.state, str(ev.signals)))
+                ev = sup.evaluate(emit_signals(float(rng.random()),
+                                               MIDDLE_RISK, True, 0.75))
+                out.append((ev.state, ev.action))
             return out
 
         assert run() == run()
