@@ -15,8 +15,8 @@ from .scenario import ConfigError, ScenarioConfig, builtin_config_path, \
     load_config, parse_config
 from .scheduler import LinkConfig, Packet, QosFlow, schedule_tti, \
     set_priority
-from .sensing import LatencyWindows, PointCloud, RiskState, SigmoidParams, \
-    clutter_prob, latency_condition, risk_update, sigmoid_prob, spaciousness, \
+from .sensing import PointCloud, RiskState, SigmoidParams, clutter_prob, \
+    latency_condition, risk_update, sigmoid_prob, spaciousness, \
     synth_point_cloud, window_mean
 
 __version__ = "0.1.0"

@@ -191,6 +191,7 @@ class CellModel:
                             DOWNLINK: _Direction(downlink)}
         self._sources: list[tuple[object, QosFlow]] = []
         self.clock = 0.0
+        self._ticks = 0
         self.outages: list[tuple[float, float]] = []
         self.jitter_ms = jitter_ms
         self.jitter_rng = jitter_rng
@@ -223,7 +224,10 @@ class CellModel:
         that carries a payload and arrived during the tick, uplink before
         downlink. The bits of every packet that arrived are added to
         `arrived_bits`."""
-        end = self.clock + self.uplink.tti_ms
+        # from a tick count, not a running sum: the engine's clock is
+        # k * tti, and a summed inexact TTI drifts away from it
+        self._ticks += 1
+        end = self._ticks * self.uplink.tti_ms
 
         staged: dict[QosFlow, list] = {}
         for source, flow in self._sources:

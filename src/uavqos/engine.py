@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +25,6 @@ from .cell import (
     measure_rtt,
 )
 from .fsm import (
-    DETERMINISTIC,
     LOW_LATENCY,
     Q1,
     Q3,
@@ -52,7 +51,6 @@ from .scheduler import (
     set_priority,
 )
 from .sensing import (
-    LatencyWindows,
     RiskState,
     clutter_prob,
     latency_condition,
@@ -136,11 +134,11 @@ class Simulation:
                             config.background.packet_bits), self.bg_flow)
 
         ctrl_cfg = config.control
-        self.control_src = PeriodicSource(
+        control_src = PeriodicSource(
             hz=ctrl_cfg.rate_bps / ctrl_cfg.packet_bits,
             packet_bits=ctrl_cfg.packet_bits,
             payload_fn=self._state_snapshot)
-        self.cell.attach_source(self.control_src, self.uav_flow)
+        self.cell.attach_source(control_src, self.uav_flow)
         self.camera = None
         if config.camera is not None:
             cam_cfg = config.camera
@@ -157,8 +155,9 @@ class Simulation:
                                 velocity=self.reference.velocity(0.0),
                                 reference=self.reference.position(0.0))
 
-        self.windows = LatencyWindows(pf.cam_window, pf.cc_window,
-                                      pf.cam_weight, pf.cc_weight)
+        # latest per-frame camera delays and control round trips
+        self.cam_window: deque[float] = deque(maxlen=pf.cam_window)
+        self.cc_window: deque[float] = deque(maxlen=pf.cc_window)
         self.risk = RiskState(alpha=pf.ema_alpha, beta=pf.ema_beta)
         self.supervisor = None
         if config.qos == "dynamic":
@@ -304,7 +303,7 @@ class Simulation:
                 if kind == COMMAND:
                     control, self.applied_cmd = pkt.payload
                     rtt = measure_rtt(control, pkt, arrival)
-                    self.windows.push_control(rtt)
+                    self.cc_window.append(rtt)
                     interval_rtt_sum += rtt
                     interval_rtt_n += 1
                     self.last_rtt_arrival = arrival
@@ -314,7 +313,7 @@ class Simulation:
                         self.cmd_flow, arrival, pkt, self.edge_cmd,
                         cfg.command_packet_bits)
                 else:                               # a frame's last packet
-                    self.windows.push_camera(arrival - pkt.payload)
+                    self.cam_window.append(arrival - pkt.payload)
 
             t_end = (k + 1) * tti
             if (k + 1) % eval_every == 0:
@@ -336,8 +335,8 @@ class Simulation:
                     signals=str(self.signals),
                     ul_buffer=self.cell.buffered_bits(UPLINK),
                     rtt=self.rtt_last,
-                    cam_latency=self.windows.cam_window[-1]
-                    if self.windows.cam_window else 0.0,
+                    cam_latency=self.cam_window[-1]
+                    if self.cam_window else 0.0,
                     cam_rate=(self.camera.rate_bps if self.camera else 0.0)
                     / 1e6,
                     uav_goodput=(uav_bits - reported_uav) * scale,
@@ -363,19 +362,15 @@ class Simulation:
         sample = spaciousness(cloud)
         _, level = risk_update(self.risk, sample)
 
-        t1 = window_mean(self.windows.cam_window)
-        t2 = window_mean(self.windows.cc_window)
+        t1 = window_mean(self.cam_window)
+        t2 = window_mean(self.cc_window)
         if t1 is not None and t2 is not None:
-            self.p_lat = latency_condition(t1, t2, self.windows,
-                                           pf.cam_sigmoid, pf.cc_sigmoid)
+            self.p_lat = latency_condition(t1, t2, pf)
         self.p_cs = clutter_prob(self.risk.s, pf.risk_sigmoid)
         link_ok = (t - self.last_rtt_arrival) <= pf.link_lost_timeout_ms
-        # static modes always threshold: the signal mode applies only to
-        # the supervisor's walk
-        self.signals = emit_signals(
-            self.p_lat, level, link_ok, pf.latency_threshold,
-            pf.mode if self.supervisor is not None else DETERMINISTIC,
-            self.rng_pfsm)
+        self.signals = emit_signals(self.p_lat, level, link_ok,
+                                    pf.latency_threshold, pf.mode,
+                                    self.rng_pfsm)
         if self.supervisor is None:
             return
 

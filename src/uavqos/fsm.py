@@ -16,7 +16,6 @@ priority alone was insufficient.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -194,8 +193,6 @@ def emit_signals(p_lat: float, risk_level: str, link_ok: bool,
     """
     if not 0.0 <= p_lat <= 1.0:
         raise ValueError("latency probability must lie in [0, 1]")
-    if risk_level not in RISK_FLAGS:
-        raise ValueError(f"risk level must be one of {RISK_FLAGS}")
     if mode == STOCHASTIC:
         if rng is None:
             raise ValueError("stochastic mode requires a random generator")
@@ -247,14 +244,14 @@ class QosSupervisor:
         self.state = Q1
         self.hl_persist_evals = hl_persist_evals
         self.escalation_grace_evals = escalation_grace_evals
-        self._hl_history: deque[bool] = deque(maxlen=hl_persist_evals)
+        self._hl_run = 0                   # consecutive HL evaluations
         self._evals_since_qos: Optional[int] = None
 
     def evaluate(self, signals: SignalSet,
                  at_rate_floor: bool = False) -> SupervisorEvent:
-        self._hl_history.append(signals.latency == HIGH_LATENCY)
-        hl_persistent = (len(self._hl_history) == self.hl_persist_evals
-                         and all(self._hl_history))
+        self._hl_run = self._hl_run + 1 \
+            if signals.latency == HIGH_LATENCY else 0
+        hl_persistent = self._hl_run >= self.hl_persist_evals
         if self._evals_since_qos is not None:
             self._evals_since_qos += 1
         escalate_ok = (self._evals_since_qos is not None

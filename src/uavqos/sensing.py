@@ -10,7 +10,6 @@ spaciousness estimate with high/middle/low risk bands.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +18,10 @@ import numpy as np
 HIGH_RISK = "HR"
 MIDDLE_RISK = "MR"
 LOW_RISK = "LR"
+
+# spaciousness (m) at or below which the risk is high, and middle
+HR_THRESHOLD_M = 3.0
+MR_THRESHOLD_M = 5.0
 
 
 @dataclass
@@ -60,31 +63,6 @@ def clutter_prob(spaciousness_m: float, p: SigmoidParams) -> float:
     return sigmoid_prob(2.0 * p.midpoint - spaciousness_m, p)
 
 
-class LatencyWindows:
-    """Ring buffers over the most recent latency samples of both streams.
-
-    cam_len / cc_len fix the sliding-window sizes; cam_weight + cc_weight
-    must equal 1 exactly (they form the convex latency condition).
-    """
-
-    def __init__(self, cam_len: int, cc_len: int,
-                 cam_weight: float, cc_weight: float):
-        if cam_len < 1 or cc_len < 1:
-            raise ValueError("window sizes must be at least 1")
-        if cam_weight + cc_weight != 1.0:
-            raise ValueError("latency condition weights must sum to 1")
-        self.cam_window: deque[float] = deque(maxlen=cam_len)
-        self.cc_window: deque[float] = deque(maxlen=cc_len)
-        self.cam_weight = cam_weight
-        self.cc_weight = cc_weight
-
-    def push_camera(self, latency_ms: float):
-        self.cam_window.append(latency_ms)
-
-    def push_control(self, latency_ms: float):
-        self.cc_window.append(latency_ms)
-
-
 def window_mean(window) -> Optional[float]:
     """Mean of the samples held in `window`; None when empty."""
     if not window:
@@ -92,11 +70,11 @@ def window_mean(window) -> Optional[float]:
     return sum(window) / len(window)
 
 
-def latency_condition(t1: float, t2: float, windows: LatencyWindows,
-                      cam_p: SigmoidParams, cc_p: SigmoidParams) -> float:
-    """Convex combination of the camera and control latency probabilities."""
-    return (windows.cam_weight * sigmoid_prob(t1, cam_p)
-            + windows.cc_weight * sigmoid_prob(t2, cc_p))
+def latency_condition(t1: float, t2: float, pf) -> float:
+    """Convex combination of the camera and control latency probabilities,
+    with the weights and curves of the PFSM config `pf`."""
+    return (pf.cam_weight * sigmoid_prob(t1, pf.cam_sigmoid)
+            + pf.cc_weight * sigmoid_prob(t2, pf.cc_sigmoid))
 
 
 @dataclass
@@ -139,38 +117,25 @@ def synth_point_cloud(target_s: float, center, rng: np.random.Generator,
 
 @dataclass
 class RiskState:
-    """EMA-filtered spaciousness plus the fixed risk bands.
+    """EMA-filtered spaciousness.
 
     alpha weighs the previous estimate, beta the fresh sample; they must sum
-    to 1. s <= hr_threshold is high risk, s <= mr_threshold middle risk,
-    anything above is low risk.
+    to 1.
     """
 
     alpha: float = 0.8
     beta: float = 0.2
     s: Optional[float] = None
-    hr_threshold: float = 3.0
-    mr_threshold: float = 5.0
 
     def __post_init__(self):
         if self.alpha + self.beta != 1.0:
             raise ValueError("EMA coefficients must sum to 1")
-        if not self.hr_threshold < self.mr_threshold:
-            raise ValueError("risk bands must be ordered")
-
-
-def risk_level(state: RiskState) -> str:
-    if state.s is None:
-        return LOW_RISK
-    if state.s <= state.hr_threshold:
-        return HIGH_RISK
-    if state.s <= state.mr_threshold:
-        return MIDDLE_RISK
-    return LOW_RISK
 
 
 def risk_update(state: RiskState, sample_s: float) -> tuple[RiskState, str]:
-    """Fold one spaciousness sample into the EMA and classify the band.
+    """Fold one spaciousness sample into the EMA and classify the band:
+    s <= HR_THRESHOLD_M is high risk, s <= MR_THRESHOLD_M middle risk,
+    anything above is low risk.
 
     The filter is seeded with the first sample so startup does not fabricate
     a high-risk episode from an arbitrary initial value.
@@ -179,4 +144,8 @@ def risk_update(state: RiskState, sample_s: float) -> tuple[RiskState, str]:
         state.s = float(sample_s)
     else:
         state.s = state.alpha * state.s + state.beta * sample_s
-    return state, risk_level(state)
+    if state.s <= HR_THRESHOLD_M:
+        return state, HIGH_RISK
+    if state.s <= MR_THRESHOLD_M:
+        return state, MIDDLE_RISK
+    return state, LOW_RISK

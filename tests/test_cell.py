@@ -90,6 +90,19 @@ class TestStep:
         assert delivered == 0
         assert cell.clock == pytest.approx(50.0)
 
+    def test_clock_counts_ticks(self):
+        # 0.1 ms is inexact in binary: a clock summed tick by tick reads
+        # 20.000000000000014 after 200 steps and would enqueue the packet
+        # due at 20 ms in the tick before it exists
+        link = LinkConfig(81.3e6, 0.1, 13.65)
+        cell = CellModel(link, link)
+        flow = cell.add_flow(UPLINK, 1.0)
+        cell.attach_source(PeriodicSource(100.0, 12_000), flow)
+        for _ in range(200):
+            cell.step()
+        assert cell.clock == 20.0
+        assert flow.enqueued_bits == 2 * 12_000
+
     def test_single_source_goodput(self):
         cell, uav, cmd, bg, _ = build_cell()
         _, uav_bits, _, _ = drive(cell, cmd, 10_000, echo=False)

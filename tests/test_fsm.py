@@ -1,7 +1,11 @@
 """State machine structure and supervisor behavior tests."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavqos.fsm import (
     HIGH_LATENCY,
@@ -20,6 +24,7 @@ from uavqos.fsm import (
     SUCCESSORS,
     TransitionFault,
     _ACTIONS,
+    SupervisorEvent,
     emit_signals,
     rate_adapt_step,
     transition,
@@ -29,6 +34,37 @@ from uavqos.sensing import HIGH_RISK, LOW_RISK, MIDDLE_RISK
 
 def sig(latency, risk, lost=False):
     return SignalSet(latency, risk, lost)
+
+
+class DequeSupervisor:
+    """Reference supervisor that keeps the last `hl_persist_evals` latency
+    flags in a deque: HL persists when the deque is full and all HL."""
+
+    def __init__(self, hl_persist_evals, escalation_grace_evals):
+        self.state = Q1
+        self.hl_persist_evals = hl_persist_evals
+        self.escalation_grace_evals = escalation_grace_evals
+        self.hl_history = deque(maxlen=hl_persist_evals)
+        self.evals_since_qos = None
+
+    def evaluate(self, signals, at_rate_floor=False):
+        self.hl_history.append(signals.latency == HIGH_LATENCY)
+        hl_persistent = (len(self.hl_history) == self.hl_persist_evals
+                         and all(self.hl_history))
+        if self.evals_since_qos is not None:
+            self.evals_since_qos += 1
+        escalate_ok = (self.evals_since_qos is not None
+                       and self.evals_since_qos >= self.escalation_grace_evals)
+        before = self.state
+        self.state = transition(before, signals, hl_persistent=hl_persistent,
+                                escalate_ok=escalate_ok,
+                                at_rate_floor=at_rate_floor)
+        action = _ACTIONS[self.state]
+        if action.qos_enabled and self.evals_since_qos is None:
+            self.evals_since_qos = 0
+        elif not action.qos_enabled:
+            self.evals_since_qos = None
+        return SupervisorEvent(before, self.state, action)
 
 
 class TestSuccessorTable:
@@ -295,3 +331,17 @@ class TestSupervisor:
             return out
 
         assert run() == run()
+
+    @given(st.integers(1, 5),
+           st.lists(st.tuples(st.sampled_from([LOW_LATENCY, HIGH_LATENCY]),
+                              st.sampled_from([LOW_RISK, MIDDLE_RISK,
+                                               HIGH_RISK]),
+                              st.booleans(), st.booleans()),
+                    max_size=60))
+    def test_hl_persistence_matches_deque_reference(self, persist, walk):
+        sup = QosSupervisor(persist, escalation_grace_evals=0)
+        ref = DequeSupervisor(persist, escalation_grace_evals=0)
+        for latency, risk, lost, floor in walk:
+            signals = sig(latency, risk, lost)
+            assert sup.evaluate(signals, at_rate_floor=floor) == \
+                ref.evaluate(signals, at_rate_floor=floor)

@@ -293,6 +293,19 @@ class TestRunAndEmit:
         traces, _ = run(cfg)
         assert digest(trace_csv_lines(traces)) == GOLDEN_DIGEST_2S_BASELINE
 
+    def test_signal_mode_applies_without_supervisor(self):
+        # under qos: never the stochastic mode draws HL with probability
+        # P_lat, so its traced signals differ from the thresholded ones
+        raw = raw_scenario("no_qos_bg")
+        raw["duration_ms"] = 30_000.0
+        signals = {}
+        for mode in ("deterministic", "stochastic"):
+            raw.setdefault("pfsm", {})["mode"] = mode
+            traces, _ = run(parse_config(raw))
+            signals[mode] = [r.signals for r in traces]
+        assert len(signals["stochastic"]) == 300
+        assert signals["deterministic"] != signals["stochastic"]
+
     def test_stochastic_mode_runs_and_replays(self):
         raw = raw_scenario("dynamic_qos_bg")
         raw["duration_ms"] = 5_000.0

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavqos.scenario import PfsmConfig
 from uavqos.sensing import (
     HIGH_RISK,
     LOW_RISK,
     MIDDLE_RISK,
-    LatencyWindows,
     PointCloud,
     RiskState,
     SigmoidParams,
@@ -104,50 +104,27 @@ class TestWindowMean:
     def test_constant_stream_idempotent(self, c, n):
         assert window_mean([c] * n) == pytest.approx(c)
 
-    def test_ring_buffer_retains_latest(self):
-        w = LatencyWindows(cam_len=3, cc_len=5, cam_weight=0.35,
-                           cc_weight=0.65)
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            w.push_camera(v)
-        assert window_mean(w.cam_window) == pytest.approx((2 + 3 + 4) / 3)
-
-    def test_window_mean_over_long_log(self):
-        rng = random.Random(7)
-        log = [rng.uniform(10, 50) for _ in range(100)]
-        w = LatencyWindows(cam_len=10, cc_len=50, cam_weight=0.35,
-                           cc_weight=0.65)
-        for v in log:
-            w.push_camera(v)
-        assert window_mean(w.cam_window) == sum(log[-10:]) / 10
-
 
 class TestLatencyCondition:
-    def make_windows(self):
-        return LatencyWindows(10, 50, 0.35, 0.65)
+    # defaults: weights 0.35/0.65, the CAM and CC curves above
+    PF = PfsmConfig()
 
     def test_fixed_point_at_half(self):
-        w = self.make_windows()
-        assert latency_condition(61.0, 27.0, w, CAM, CC) == \
+        assert latency_condition(61.0, 27.0, self.PF) == \
             pytest.approx(0.5, abs=1e-12)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            LatencyWindows(10, 50, 0.5, 0.6)
 
     def test_paper_operating_point(self):
         # both sigmoids one unit steps above their midpoints
-        w = self.make_windows()
         expected = 0.35 / (1 + math.exp(-3.0 * 10)) \
             + 0.65 / (1 + math.exp(-5.0 * 10))
-        assert latency_condition(71.0, 37.0, w, CAM, CC) == \
+        assert latency_condition(71.0, 37.0, self.PF) == \
             pytest.approx(expected, abs=1e-15)
-        assert latency_condition(71.0, 37.0, w, CAM, CC) > 0.99999
+        assert latency_condition(71.0, 37.0, self.PF) > 0.99999
 
     @given(st.floats(0.0, 200.0), st.floats(0.0, 200.0))
     def test_convexity_bound(self, t1, t2):
-        w = self.make_windows()
         p1, p2 = sigmoid_prob(t1, CAM), sigmoid_prob(t2, CC)
-        combined = latency_condition(t1, t2, w, CAM, CC)
+        combined = latency_condition(t1, t2, self.PF)
         assert min(p1, p2) - 1e-12 <= combined <= max(p1, p2) + 1e-12
 
 
