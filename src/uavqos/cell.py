@@ -7,15 +7,15 @@ paced onto the uplink as MTU-sized packets spread across the frame
 interval, so a frame never monopolizes the FIFO ahead of the small control
 packets that share the flow.
 
-A flow holds the packets that carry nothing (background, every camera
-packet but a frame's last) as counted runs: only the packets the engine
-reads are objects of their own, and the cell counts the arrived bits of
-every packet per kind.
+Sources emit counted runs, and a flow holds them as such: the packets
+that carry nothing (background, every camera packet but a frame's last)
+travel as `(due, bits, kind, payload, count)` runs from the source into
+the FIFO, only the packets the engine reads are objects of their own, and
+the cell counts the arrived bits of every packet per kind.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from typing import Callable, Optional
@@ -39,11 +39,10 @@ class FrameSource:
     """Constant-bit-rate frame stream (camera).
 
     Each frame is emitted as full `packet_bits` packets plus a remainder,
-    paced uniformly across the frame interval. Rate changes latch at the
-    next frame boundary; requests below the floor clamp to it.
+    paced uniformly across the frame interval: packet i of a frame that
+    starts at `start` is due at `start + i * spacing`. Rate changes latch
+    at the next frame boundary; requests below the floor clamp to it.
     """
-
-    kind = CAMERA
 
     def __init__(self, rate_bps: float, frame_hz: float,
                  packet_bits: int = 12_000, floor_bps: float = 5e6):
@@ -56,9 +55,12 @@ class FrameSource:
         self.frame_interval = 1000.0 / frame_hz
         self.active = True
         self._pending_rate: Optional[float] = None
-        self._frame_idx = 0
-        self._plan: list[tuple] = []   # this frame's emissions, due order
-        self._plan_pos = 0
+        self._frame_idx = 0            # the next frame to start
+        # the frame in progress, (start, spacing, packets, last packet's
+        # bits), and the index of its next packet
+        self._frame = (0.0, 0.0, 0, 0)
+        self._pos = 0
+        self.next_due = 0.0
 
     def set_rate(self, rate_bps: float) -> float:
         """Request a new rate; effective at the next frame boundary."""
@@ -69,49 +71,63 @@ class FrameSource:
         if active and not self.active:
             # skip the frames that elapsed while off
             self._frame_idx = math.ceil(now_ms / self.frame_interval)
-            self._plan = []
-            self._plan_pos = 0
+            self._pos = self._frame[2]
+            self.next_due = self._frame_idx * self.frame_interval
+        elif not active:
+            self.next_due = math.inf
         self.active = active
 
-    def _build_frame(self):
+    def _start_frame(self):
         if self._pending_rate is not None:
             self.rate_bps = self._pending_rate
             self._pending_rate = None
-        start = self._frame_idx * self.frame_interval
         frame_bits = round(self.rate_bps / self.frame_hz)
         n_full, rem = divmod(frame_bits, self.packet_bits)
-        sizes = [self.packet_bits] * n_full + ([rem] if rem else [])
-        last = len(sizes) - 1
-        spacing = self.frame_interval / len(sizes)
-        self._plan = [(start + i * spacing, size, self.kind,
-                       start if i == last else None)
-                      for i, size in enumerate(sizes)]
-        self._plan_pos = 0
+        n = n_full + (1 if rem else 0)
+        self._frame = (self._frame_idx * self.frame_interval,
+                       self.frame_interval / n, n,
+                       rem if rem else self.packet_bits)
+        self._pos = 0
+        self._frame_idx += 1
 
     def emit_until(self, end_ms: float):
-        """(due, size, kind, payload) for every packet due before end_ms;
-        only a frame's last packet carries a payload, the frame start."""
+        """(due, bits, kind, payload, count) runs of the packets due before
+        end_ms: per frame, one run of the payload-free packets and then
+        the frame's last packet, whose payload is the frame start."""
         out = []
-        if not self.active:
-            return out
-        while True:
-            if self._plan_pos >= len(self._plan):
-                if self._frame_idx * self.frame_interval >= end_ms:
+        due = self.next_due
+        while due < end_ms:
+            pos = self._pos
+            if pos >= self._frame[2]:
+                self._start_frame()
+                pos = 0
+            start, spacing, n, last_bits = self._frame
+            first = due
+            k = pos + 1
+            while k < n:
+                due = start + k * spacing
+                if due >= end_ms:
                     break
-                self._build_frame()
-                self._frame_idx += 1
-            item = self._plan[self._plan_pos]
-            if item[0] >= end_ms:
-                break
-            self._plan_pos += 1
-            out.append(item)
+                k += 1
+            last = n - 1
+            if pos < last:
+                out.append((first, self.packet_bits, CAMERA, None,
+                            (k if k < last else last) - pos))
+            if k == n:
+                out.append((start + last * spacing, last_bits, CAMERA, start,
+                            1))
+                due = self._frame_idx * self.frame_interval
+            self._pos = k
+        self.next_due = due
         return out
 
 
 class PeriodicSource:
-    """Small fixed-size packet every period (control state stream)."""
+    """Small fixed-size packet every period (control state stream).
 
-    kind = CONTROL_STATE
+    With a `payload_fn`, each packet is a run of its own whose payload is
+    `payload_fn(due)`; without, the packets due in one call form one
+    run."""
 
     def __init__(self, hz: float, packet_bits: int = 12_000,
                  payload_fn: Optional[Callable[[float], object]] = None):
@@ -121,22 +137,29 @@ class PeriodicSource:
         self.packet_bits = packet_bits
         self.payload_fn = payload_fn
         self._idx = 0
+        self.next_due = 0.0
 
     def emit_until(self, end_ms: float):
+        first = idx = self._idx
+        period = self.period
         out = []
-        while self._idx * self.period < end_ms:
-            due = self._idx * self.period
-            payload = self.payload_fn(due) if self.payload_fn else None
-            out.append((due, self.packet_bits, self.kind, payload))
-            self._idx += 1
+        while idx * period < end_ms:
+            if self.payload_fn is not None:
+                due = idx * period
+                out.append((due, self.packet_bits, CONTROL_STATE,
+                            self.payload_fn(due), 1))
+            idx += 1
+        if self.payload_fn is None and idx > first:
+            out.append((first * period, self.packet_bits, CONTROL_STATE,
+                        None, idx - first))
+        self._idx = idx
+        self.next_due = idx * period
         return out
 
 
 class PacedSource:
     """Back-to-back packets at a constant rate inside an on/off window
-    (background load)."""
-
-    kind = BACKGROUND
+    (background load); the packets due in one call form one run."""
 
     def __init__(self, rate_bps: float, window_ms: tuple[float, float],
                  packet_bits: int = 12_000):
@@ -146,17 +169,24 @@ class PacedSource:
         self.packet_bits = packet_bits
         self.spacing = packet_bits / rate_bps * 1000.0
         self._idx = 0
+        start, stop = window_ms
+        self.next_due = start if start < stop else math.inf
 
     def emit_until(self, end_ms: float):
-        out = []
         start, stop = self.window
-        while True:
-            due = start + self._idx * self.spacing
-            if due >= end_ms or due >= stop:
-                break
-            out.append((due, self.packet_bits, self.kind, None))
-            self._idx += 1
-        return out
+        first = idx = self._idx
+        spacing = self.spacing
+        bound = end_ms if end_ms < stop else stop
+        due = start + idx * spacing
+        while due < bound:
+            idx += 1
+            due = start + idx * spacing
+        self._idx = idx
+        self.next_due = due if due < stop else math.inf
+        if idx == first:
+            return []
+        return [(start + first * spacing, self.packet_bits, BACKGROUND, None,
+                 idx - first)]
 
 
 class _Direction:
@@ -177,22 +207,33 @@ class CellModel:
 
     Multiple sources may feed one flow (the platform's whole traffic
     profile rides a single QoS flow that is re-prioritized as one unit).
-    `arrived_bits` counts, per packet kind, the bits of every packet that
-    has arrived so far.
+    A source offers `next_due`, the due time of its next packet (inf when
+    it has none), and `emit_until(end_ms)`, which returns the
+    `(due, bits, kind, payload, count)` runs of its packets due before
+    `end_ms` in due order, `due` being the run's first packet's; two runs
+    in a row never both carry nothing with the same kind and size. The
+    cell calls a source only when its next packet is due in the tick.
+    `outages` holds the [start, end) windows (ms) in which neither
+    direction is scheduled. `arrived_bits` counts, per packet kind, the
+    bits of every packet that has arrived so far.
     """
 
     def __init__(self, uplink: LinkConfig, downlink: LinkConfig,
-                 jitter_ms: float = 0.0, jitter_rng=None):
+                 jitter_ms: float = 0.0, jitter_rng=None, outages=()):
         self.uplink = uplink
         self.downlink = downlink
         self.flows: dict[int, QosFlow] = {}
         # uplink first: delivery order and the jitter draw order follow it
         self._directions = {UPLINK: _Direction(uplink),
                             DOWNLINK: _Direction(downlink)}
-        self._sources: list[tuple[object, QosFlow]] = []
+        # per fed flow: [flow, its direction's buffer cap, its sources]
+        self._feeds: list[list] = []
         self.clock = 0.0
         self._ticks = 0
-        self.outages: list[tuple[float, float]] = []
+        self._outages = tuple((a, b) for a, b in outages)
+        # the link-up gate holds until the next outage boundary
+        self._link_up = True
+        self._gate_until = 0.0
         self.jitter_ms = jitter_ms
         self.jitter_rng = jitter_rng
         self.arrived_bits = dict.fromkeys(PACKET_KINDS, 0.0)
@@ -204,10 +245,12 @@ class CellModel:
         return flow
 
     def attach_source(self, source, flow: QosFlow):
-        self._sources.append((source, flow))
-
-    def in_outage(self, t_ms: float) -> bool:
-        return any(a <= t_ms < b for a, b in self.outages)
+        for feed in self._feeds:
+            if feed[0] is flow:
+                feed[2].append(source)
+                return
+        cap = self._directions[flow.direction].link.buffer_cap_bits
+        self._feeds.append([flow, cap, [source]])
 
     def enqueue_command(self, flow: QosFlow, created_at: float,
                         control: Packet, value=None,
@@ -219,6 +262,39 @@ class CellModel:
         flow.enqueue(pkt, self.downlink.buffer_cap_bits)
         return pkt
 
+    @staticmethod
+    def _merged_runs(sources: list, end: float) -> list[tuple]:
+        """The runs of several sources' packets due before `end`, in due
+        order with a tie to the source attached first; a run of equal
+        payload-free packets that spans sources is one run.
+
+        Each call lets the source with the earliest next packet emit up to
+        the next packet of any other source, so no sort is needed."""
+        out = []
+        while True:
+            best, first, at = None, end, 0
+            for i, src in enumerate(sources):
+                if src.next_due < first:
+                    best, first, at = src, src.next_due, i
+            if best is None:
+                return out
+            bound = end
+            for i, src in enumerate(sources):
+                if i != at:
+                    # a later source's packet at the same due comes after
+                    d = src.next_due if i < at else \
+                        math.nextafter(src.next_due, math.inf)
+                    if d < bound:
+                        bound = d
+            for run in best.emit_until(bound):
+                if out and run[3] is None:
+                    tail = out[-1]
+                    if tail[3] is None and tail[2] == run[2] and \
+                            tail[1] == run[1]:
+                        out[-1] = (*tail[:4], tail[4] + run[4])
+                        continue
+                out.append(run)
+
     def step(self) -> list[tuple[float, Packet]]:
         """Advance one uplink TTI; returns (arrival, packet) for each packet
         that carries a payload and arrived during the tick, uplink before
@@ -229,39 +305,40 @@ class CellModel:
         self._ticks += 1
         end = self._ticks * self.uplink.tti_ms
 
-        staged: dict[QosFlow, list] = {}
-        for source, flow in self._sources:
-            items = source.emit_until(end)
-            if items:
-                staged.setdefault(flow, []).append(items)
-        for flow, batches in staged.items():
-            items = batches[0] if len(batches) == 1 else \
-                sorted(itertools.chain(*batches), key=lambda x: x[0])
-            cap = self._directions[flow.direction].link.buffer_cap_bits
-            # one record per packet that carries a payload, one per run of
-            # equal packets that carry nothing
-            i, n = 0, len(items)
-            while i < n:
-                due, bits, kind, payload = items[i]
-                j = i + 1
-                if payload is None:
-                    while j < n and items[j][3] is None and \
-                            items[j][1] == bits and items[j][2] == kind:
-                        j += 1
-                flow.enqueue(flow.make_packet(bits, due, kind, payload,
-                                              j - i), cap)
-                i = j
+        for flow, cap, sources in self._feeds:
+            # merge only when two sources of the flow are due in the tick
+            due = None
+            for src in sources:
+                if src.next_due < end:
+                    if due is not None:
+                        runs = self._merged_runs(sources, end)
+                        break
+                    due = src
+            else:
+                if due is None:
+                    continue
+                runs = due.emit_until(end)
+            for first, bits, kind, payload, count in runs:
+                flow.enqueue(flow.make_packet(bits, first, kind, payload,
+                                              count), cap)
 
-        schedule = not (self.outages and self.in_outage(self.clock))
+        now = self.clock
+        if now >= self._gate_until:
+            outages = self._outages
+            self._link_up = not any(a <= now < b for a, b in outages)
+            self._gate_until = min((t for w in outages for t in w
+                                    if t > now), default=math.inf)
+        link_up = self._link_up
         jitter = self.jitter_ms if self.jitter_rng is not None else 0.0
         arrived = self.arrived_bits
         delivered = []
         for d in self._directions.values():
             queue = d.in_flight
-            if schedule:
+            done = schedule_tti(d.link, d.flows, now) if link_up else None
+            if done:
                 base = d.link.base_delay_ms
                 last = d.last_arrival
-                for rec, dep in schedule_tti(d.link, d.flows, self.clock):
+                for rec, dep in done:
                     arrival = dep + base
                     if jitter > 0.0:
                         arrival += self.jitter_rng.uniform(-jitter, jitter)

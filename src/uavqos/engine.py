@@ -117,8 +117,8 @@ class Simulation:
         self.cell = CellModel(config.uplink, config.downlink,
                               jitter_ms=config.jitter_ms,
                               jitter_rng=self.rng_jitter
-                              if config.jitter_ms > 0 else None)
-        self.cell.outages = list(config.link_outages_ms)
+                              if config.jitter_ms > 0 else None,
+                              outages=config.link_outages_ms)
 
         pf = config.pfsm
         start_slope = pf.qos_slope if config.qos == "always" \

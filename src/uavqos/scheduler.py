@@ -15,7 +15,6 @@ the primary grantee's weight is reset.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -132,30 +131,35 @@ class QosFlow:
         size."""
         bits, count = packet.bits, packet.count
         self.enqueued_bits += bits * count
-        cap = math.inf if buffer_cap_bits is None else buffer_cap_bits
         buffered = self.buffered_bits
-        accepted = 0
-        for _ in range(count):
-            if buffered + bits > cap:
-                self.dropped_bits += bits
-            else:
+        if buffer_cap_bits is None:
+            accepted = count
+            for _ in range(count):
                 buffered += bits
-                accepted += 1
+        else:
+            accepted = 0
+            for _ in range(count):
+                if buffered + bits > buffer_cap_bits:
+                    self.dropped_bits += bits
+                else:
+                    buffered += bits
+                    accepted += 1
         self.buffered_bits = buffered
         if not accepted:
             return False
         buf = self.buffer
-        tail = buf[-1] if buf else None
-        if tail is not None and tail.kind == packet.kind and \
-                tail.bits == bits and tail.payload is None and \
-                packet.payload is None:
-            tail.count += accepted
-        elif accepted == count:
+        if buf and packet.payload is None:
+            tail = buf[-1]
+            if tail.payload is None and tail.kind == packet.kind and \
+                    tail.bits == bits:
+                tail.count += accepted
+                return accepted == count
+        if accepted == count:
             buf.append(packet)
-        else:
-            buf.append(Packet(bits, packet.created_at, packet.kind,
-                              count=accepted))
-        return accepted == count
+            return True
+        buf.append(Packet(bits, packet.created_at, packet.kind,
+                          count=accepted))
+        return False
 
     def flush(self) -> float:
         """Discard all buffered bits (user departs / offload abandoned)."""
@@ -202,44 +206,48 @@ def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):
     if not candidates:
         return []
 
-    budget = link.tti_budget_bits
     capacity = link.capacity_bps
     completed: list[tuple[Packet, float]] = []
 
-    remaining = budget
+    remaining = link.tti_budget_bits
     sent = 0.0  # bits already pushed onto the wire this TTI
     primary = True
     while remaining > 1e-9 and candidates:
         best = candidates[0]
-        for f in candidates[1:]:
-            if (f.weight, f.priority_slope, -f.id) > \
-                    (best.weight, best.priority_slope, -best.id):
-                best = f
-        candidates.remove(best)
+        if len(candidates) > 1:
+            for f in candidates[1:]:
+                if (f.weight, f.priority_slope, -f.id) > \
+                        (best.weight, best.priority_slope, -best.id):
+                    best = f
+            candidates.remove(best)
+        else:
+            candidates.clear()
         if primary:
             best.weight = 0.0
             primary = False
 
-        take = min(remaining, best.buffered_bits)
-        granted = take
+        backlog = best.buffered_bits
+        take = granted = backlog if backlog < remaining else remaining
         buf = best.buffer
+        served = best.head_served_bits
         while take > 1e-9:
             head = buf[0]
-            head_left = head.bits - best.head_served_bits
+            head_left = head.bits - served
             if head_left <= take + 1e-9:
                 sent += head_left
                 take -= head_left
-                best.head_served_bits = 0.0
+                served = 0.0
                 if head.count > 1:
                     head.count -= 1
                 else:
                     buf.popleft()
                 completed.append((head, now_ms + sent * 1000.0 / capacity))
             else:
-                best.head_served_bits += take
+                served += take
                 sent += take
                 take = 0.0
-        best.buffered_bits -= granted
+        best.head_served_bits = served
+        best.buffered_bits = backlog - granted
         best.delivered_bits += granted
         remaining -= granted
 

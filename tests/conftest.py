@@ -1,4 +1,5 @@
 import copy
+import math
 from collections import deque
 
 import yaml
@@ -30,8 +31,13 @@ class TaggedCamera(FrameSource):
     each packet is a record of its own."""
 
     def emit_until(self, end_ms):
-        return [(due, size, kind, due)
-                for due, size, kind, _ in super().emit_until(end_ms)]
+        # one packet per call: a run's first due is the only one it names
+        out = []
+        while self.next_due < end_ms:
+            for due, bits, kind, _, count in super().emit_until(
+                    math.nextafter(self.next_due, math.inf)):
+                out += [(due, bits, kind, due, 1)] * count
+        return out
 
 
 def make_config(name: str, **top_level):

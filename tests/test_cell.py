@@ -1,8 +1,11 @@
 """Cell-level behavior: goodput splits, RTT calibration, rate adjustment."""
 
+import itertools
 import math
 import random
 import statistics
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from uavqos.scheduler import (
     DOWNLINK,
     UPLINK,
     LinkConfig,
+    QosFlow,
 )
 
 UL = LinkConfig(81.3e6, 0.5, 13.65)
@@ -39,8 +43,8 @@ def stamped_control(hz=100.0):
 
 
 def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6,
-               camera=FrameSource):
-    cell = CellModel(UL, DL)
+               camera=FrameSource, outages=()):
+    cell = CellModel(UL, DL, outages=outages)
     uav = cell.add_flow(UPLINK, uav_slope)
     cmd = cell.add_flow(DOWNLINK, 1.0)
     cam = camera(cam_rate, 30.0)
@@ -138,8 +142,7 @@ class TestIdleTtis:
     def test_one_call_per_direction_per_tick_outside_outages(self,
                                                             monkeypatch):
         calls = count_schedule_calls(monkeypatch)
-        cell, uav, cmd, bg, _ = build_cell()
-        cell.outages = [(30.0, 40.0)]
+        cell, uav, cmd, bg, _ = build_cell(outages=[(30.0, 40.0)])
         drive(cell, cmd, 100.0)
         up = [k * 0.5 for k in range(200) if not 30.0 <= k * 0.5 < 40.0]
         assert [(link, now) for link, now, _ in calls] == \
@@ -171,6 +174,52 @@ class TestIdleTtis:
         assert delivered and all(p.kind != COMMAND for p in delivered)
         assert [result for link, _, result in calls if link is DL] == \
             [[]] * 100
+
+
+class TestOutageGate:
+    """The cell schedules both directions on exactly the ticks whose start
+    lies in no [start, end) outage window, although it looks at the
+    windows only at their edges."""
+
+    @staticmethod
+    def scheduled_ticks(outages, n_ticks):
+        calls = []
+        real = uavqos.cell.schedule_tti
+
+        def counted(link, flows, now_ms):
+            calls.append(now_ms)
+            return real(link, flows, now_ms)
+
+        cell, uav, cmd, bg, _ = build_cell(outages=outages)
+        per_tick = []
+        with mock.patch.object(uavqos.cell, "schedule_tti", counted):
+            for _ in range(n_ticks):
+                before = len(calls)
+                now = cell.clock
+                cell.step()
+                per_tick.append((now, len(calls) - before))
+        return per_tick
+
+    def test_adjacent_overlapping_and_open_windows(self):
+        # adjacent from 0, one inside another, two that overlap, edges off
+        # the tick grid, and one that ends past the run; not sorted
+        outages = [(13.5, 16.25), (1.5, 3.0), (0.0, 1.5), (10.0, 14.0),
+                   (12.0, 13.0), (45.5, 1e9), (20.1, 22.0)]
+        per_tick = self.scheduled_ticks(outages, 100)
+        for now, calls in per_tick:
+            up = not any(a <= now < b for a, b in outages)
+            assert calls == (2 if up else 0), now
+        assert [now for now, calls in per_tick if calls][:2] == [3.0, 3.5]
+        assert per_tick[-1] == (49.5, 0)
+
+    @given(st.lists(st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 12.0)),
+                    max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_windows(self, windows):
+        outages = [(a, a + span) for a, span in windows]
+        for now, calls in self.scheduled_ticks(outages, 80):
+            up = not any(a <= now < b for a, b in outages)
+            assert calls == (2 if up else 0), now
 
 
 class TestRtt:
@@ -246,8 +295,8 @@ class TestSetSourceRate:
         first = cam.emit_until(1000.0 / 30.0)     # first full frame
         cam.set_rate(47e6 * 0.8)
         second = cam.emit_until(2 * 1000.0 / 30.0)
-        bits_first = sum(size for _, size, *_ in first)
-        bits_second = sum(size for _, size, *_ in second)
+        bits_first = sum(size * count for _, size, _, _, count in first)
+        bits_second = sum(size * count for _, size, _, _, count in second)
         assert bits_first == round(47e6 / 30)
         assert bits_second == round(47e6 * 0.8 / 30)
         assert bits_second / bits_first == pytest.approx(0.8, abs=1e-3)
@@ -257,8 +306,8 @@ class TestSetSourceRate:
         cam.set_rate(47e6)
         frames = cam.emit_until(1000.0)
         per_frame = [0]
-        for due, size, _, frame_start in frames:
-            per_frame[-1] += size
+        for due, size, _, frame_start, count in frames:
+            per_frame[-1] += size * count
             if frame_start is not None:    # the frame's last packet
                 per_frame.append(0)
         assert per_frame.pop() == 0
@@ -289,6 +338,275 @@ class TestSetSourceRate:
         assert outs and min(due for due, *_ in outs) >= 1_000.0
 
 
+def sort_and_regroup(batches):
+    """The cell's enqueue order before sources emitted runs: a tick's
+    per-packet (due, bits, kind, payload) items of one flow, one batch per
+    source in attach order, sorted by due (stable, so a tie keeps the
+    attach order), then one (due, bits, kind, payload, count) record per
+    packet that carries a payload and one per stretch of equal
+    payload-free packets."""
+    items = sorted(itertools.chain(*batches), key=lambda x: x[0])
+    records = []
+    i, n = 0, len(items)
+    while i < n:
+        due, bits, kind, payload = items[i]
+        j = i + 1
+        if payload is None:
+            while j < n and items[j][3] is None and \
+                    items[j][1] == bits and items[j][2] == kind:
+                j += 1
+        records.append((due, bits, kind, payload, j - i))
+        i = j
+    return records
+
+
+def expand(runs):
+    """One (due, bits, kind, payload) per packet of `runs`; a run names
+    only its first packet's due, so the others read None."""
+    return [(due if i == 0 else None, bits, kind, payload)
+            for due, bits, kind, payload, count in runs
+            for i in range(count)]
+
+
+class ClosedFormCamera:
+    """`FrameSource` packet by packet: frame f starts at f * interval and
+    holds full packets plus a remainder, packet i of n is due at
+    start + i * (interval / n), and the last carries the frame start. A
+    rate request latches when a frame is planned; a restart skips the
+    frames that elapsed while off."""
+
+    def __init__(self, rate_bps, frame_hz, packet_bits, floor_bps=5e6):
+        self.rate, self.hz, self.bits = rate_bps, frame_hz, packet_bits
+        self.floor = floor_bps
+        self.interval = 1000.0 / frame_hz
+        self.pending = None
+        self.frame = 0
+        self.plan = deque()
+        self.active = True
+
+    def set_rate(self, rate_bps):
+        self.pending = max(rate_bps, self.floor)
+        return self.pending
+
+    def set_active(self, active, now_ms):
+        if active and not self.active:
+            self.frame = math.ceil(now_ms / self.interval)
+            self.plan.clear()
+        self.active = active
+
+    def next_due(self):
+        if not self.active:
+            return math.inf
+        return self.plan[0][0] if self.plan else self.frame * self.interval
+
+    def emit_until(self, end_ms):
+        out = []
+        while self.next_due() < end_ms:
+            if not self.plan:
+                if self.pending is not None:
+                    self.rate, self.pending = self.pending, None
+                total = round(self.rate / self.hz)
+                sizes = [self.bits] * (total // self.bits)
+                if total % self.bits:
+                    sizes.append(total % self.bits)
+                start = self.frame * self.interval
+                spacing = self.interval / len(sizes)
+                self.plan.extend(
+                    (start + i * spacing, size, CAMERA,
+                     start if i == len(sizes) - 1 else None)
+                    for i, size in enumerate(sizes))
+                self.frame += 1
+            out.append(self.plan.popleft())
+        return out
+
+
+class ClosedFormStream:
+    """Packet i due at start + i * spacing while before stop (the
+    periodic and the paced source), packet by packet."""
+
+    def __init__(self, start, spacing, stop, bits, kind, payload_fn=None):
+        self.start, self.spacing, self.stop = start, spacing, stop
+        self.bits, self.kind, self.payload_fn = bits, kind, payload_fn
+        self.i = 0
+
+    def next_due(self):
+        due = self.start + self.i * self.spacing
+        return due if due < self.stop else math.inf
+
+    def emit_until(self, end_ms):
+        out = []
+        while self.next_due() < end_ms:
+            due = self.next_due()
+            out.append((due, self.bits, self.kind,
+                        self.payload_fn(due) if self.payload_fn else None))
+            self.i += 1
+        return out
+
+
+def assert_same_packets(runs, packets):
+    """`runs` (one emit_until call) against the closed form's packets of
+    the same call: packet by packet, and as the cell used to group them."""
+    got = expand(runs)
+    assert len(got) == len(packets)
+    for (due, *rest), (want_due, *want_rest) in zip(got, packets):
+        assert rest == want_rest
+        assert due is None or due == want_due
+    assert runs == sort_and_regroup([packets])
+
+
+# one step of a camera drive: advance the tick end by a span, or to just
+# the next frame start, request a rate, or switch the camera off or on
+CAMERA_OPS = st.lists(st.one_of(
+    st.tuples(st.just("tick"), st.floats(0.0, 12.0)),
+    st.tuples(st.just("boundary"), st.none()),
+    st.tuples(st.just("rate"), st.floats(1e6, 60e6)),
+    st.tuples(st.just("active"), st.booleans())), max_size=40)
+
+
+class TestSourceRuns:
+    """Each source's runs, expanded packet by packet, against a closed
+    form of its packets (`ClosedFormCamera`, `ClosedFormStream`)."""
+
+    @given(st.floats(5e6, 60e6), st.sampled_from([30.0, 7.0, 1000.0 / 3.0]),
+           st.sampled_from([12_000, 1_500, 7_001]), CAMERA_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_camera_matches_closed_form(self, rate, hz, packet_bits, ops):
+        cam = FrameSource(rate, hz, packet_bits)
+        ref = ClosedFormCamera(rate, hz, packet_bits)
+        end = 0.0
+        for op, value in ops:
+            if op == "rate":
+                assert cam.set_rate(value) == ref.set_rate(value)
+                continue
+            if op == "active":
+                cam.set_active(value, end)
+                ref.set_active(value, end)
+            else:
+                if op == "tick":
+                    end += value
+                else:   # the next frame start: its rate is not latched yet
+                    end = (math.floor(end / ref.interval) + 1) \
+                        * ref.interval
+                assert_same_packets(cam.emit_until(end), ref.emit_until(end))
+            assert cam.next_due == ref.next_due()
+
+    @given(st.floats(1.0, 5_000.0), st.booleans(),
+           st.lists(st.floats(0.0, 5.0), max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_periodic_matches_closed_form(self, hz, stamped, spans):
+        payload_fn = (lambda due: ("state", due)) if stamped else None
+        src = PeriodicSource(hz, 12_000, payload_fn)
+        ref = ClosedFormStream(0.0, 1000.0 / hz, math.inf, 12_000,
+                               CONTROL_STATE, payload_fn)
+        end = 0.0
+        for span in spans:
+            end += span
+            assert_same_packets(src.emit_until(end), ref.emit_until(end))
+            assert src.next_due == ref.next_due()
+
+    @given(st.floats(1e6, 200e6), st.floats(0.0, 30.0), st.floats(0.0, 60.0),
+           st.lists(st.floats(0.0, 5.0), max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_paced_matches_closed_form(self, rate, start, stop, spans):
+        src = PacedSource(rate, (start, stop), 12_000)
+        ref = ClosedFormStream(start, 12_000 / rate * 1000.0, stop, 12_000,
+                               BACKGROUND)
+        end = 0.0
+        for span in spans:
+            end += span
+            assert_same_packets(src.emit_until(end), ref.emit_until(end))
+            assert src.next_due == ref.next_due()
+
+
+def recorded_enqueues():
+    """Patch `QosFlow.enqueue` to log (flow id, created_at, bits, kind,
+    payload, count) for every record; returns the patch and the log."""
+    log = []
+    real = QosFlow.enqueue
+
+    def logged(flow, packet, cap=None):
+        log.append((flow.id, packet.created_at, packet.bits, packet.kind,
+                    packet.payload, packet.count))
+        return real(flow, packet, cap)
+
+    return mock.patch.object(QosFlow, "enqueue", logged), log
+
+
+class TestMergeOrder:
+    """Several sources on one flow: the cell enqueues the records that
+    sorting the tick's packets by due and regrouping them gave, with a tie
+    to the source attached first."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_scripted_ties_match_sort_and_regroup(self, seed):
+        rng = random.Random(seed)
+        cell = CellModel(UL, DL)
+        flow = cell.add_flow(UPLINK, 1.0)
+        sources = [ScriptedSource() for _ in range(rng.choice([2, 3]))]
+        for src in sources:
+            cell.attach_source(src, flow)
+        patch, log = recorded_enqueues()
+        with patch:
+            for _ in range(60):
+                batches = []
+                for src in sources:
+                    # dues on a coarse grid, so that sources tie often
+                    dues = sorted(cell.clock + 0.125 * rng.randint(0, 3)
+                                  for _ in range(rng.randint(0, 4)))
+                    batch = []
+                    for due in dues:
+                        bits = rng.choice([12_000, 4_000])
+                        kind = rng.choice([CAMERA, BACKGROUND])
+                        payload = rng.choice([None, None, (due, bits)])
+                        count = 1 if payload else rng.randint(1, 3)
+                        runs = src.next
+                        if payload is None and runs and \
+                                runs[-1][1:4] == (bits, kind, None):
+                            # a source's runs are maximal: the run goes on
+                            due = runs[-1][0]
+                            runs[-1] = (*runs[-1][:4], runs[-1][4] + count)
+                        else:
+                            runs.append((due, bits, kind, payload, count))
+                        batch += [(due, bits, kind, payload)] * count
+                    batches.append(batch)
+                del log[:]
+                cell.step()
+                assert [rec[1:] for rec in log] == sort_and_regroup(batches)
+
+    def test_engine_sources_match_sort_and_regroup(self):
+        # a stamped 100 Hz control stream, a camera, and a second control
+        # stream at 50 Hz that carries nothing and ties the first every
+        # 20 ms
+        def stamp(due):
+            return ("state", due)
+
+        cell = CellModel(UL, DL)
+        flow = cell.add_flow(UPLINK, 1.0)
+        pairs = [(PeriodicSource(100.0, 12_000, stamp),
+                  ClosedFormStream(0.0, 10.0, math.inf, 12_000,
+                                   CONTROL_STATE, stamp)),
+                 (FrameSource(45.8e6, 30.0),
+                  ClosedFormCamera(45.8e6, 30.0, 12_000)),
+                 (PeriodicSource(50.0, 4_000),
+                  ClosedFormStream(0.0, 20.0, math.inf, 4_000,
+                                   CONTROL_STATE))]
+        for src, _ in pairs:
+            cell.attach_source(src, flow)
+        patch, log = recorded_enqueues()
+        ties = 0
+        with patch:
+            for k in range(1, 2001):
+                batches = [ref.emit_until(k * UL.tti_ms) for _, ref in pairs]
+                dues = [item[0] for batch in batches for item in batch]
+                ties += len(dues) - len(set(dues))
+                del log[:]
+                cell.step()
+                assert [rec[1:] for rec in log] == sort_and_regroup(batches)
+        assert ties >= 50
+
+
+
 class TestJitter:
     def run_with_jitter(self, seed):
         import numpy as np
@@ -311,13 +629,21 @@ class TestJitter:
 
 
 class ScriptedSource:
-    """Emits, on the next step, whatever the test put in `next`."""
+    """Emits the (due, bits, kind, payload, count) runs the test put in
+    `next`, in due order: on each call, those due before its end."""
 
     def __init__(self):
         self.next = []
 
-    def emit_until(self, _end_ms):
-        out, self.next = self.next, []
+    @property
+    def next_due(self):
+        return self.next[0][0] if self.next else math.inf
+
+    def emit_until(self, end_ms):
+        k = 0
+        while k < len(self.next) and self.next[k][0] < end_ms:
+            k += 1
+        out, self.next = self.next[:k], self.next[k:]
         return out
 
 
@@ -363,8 +689,9 @@ class TestRunLengthFifo:
                     payload = None
                     if rng.random() < p_payload:
                         payload, next_id = next_id, next_id + 1
-                    src.next.append((due, rng.choice(sizes), kind, payload))
-                emitted[fid] += src.next
+                    src.next.append((due, rng.choice(sizes), kind, payload,
+                                     1))
+                emitted[fid] += [run[:4] for run in src.next]
             emitted = [sorted(items, key=lambda x: x[0]) for items in emitted]
             before = dict(cell.arrived_bits)
 

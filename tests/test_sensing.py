@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavqos.scenario import PfsmConfig
@@ -52,11 +52,19 @@ class TestSigmoid:
         assert sigmoid_prob(28.0, CC) == pytest.approx(0.9933071490757153)
 
     @given(st.floats(24.0, 30.0), st.floats(24.0, 30.0))
+    @example(29.999999999999996, 30.0)
     def test_strictly_increasing_where_resolvable(self, a, b):
-        if a == b:
-            return
+        # p = 1 / d with d = 1 + e^x is rounded last in d, so two inputs
+        # can give two doubles only if the gap times the curve's slope
+        # moves p, relative to p, by more than one ulp of d relative to d;
+        # one ulp of p alone is finer than that where p nears 1
         lo, hi = min(a, b), max(a, b)
-        assert sigmoid_prob(lo, CC) < sigmoid_prob(hi, CC)
+        p_lo, p_hi = sigmoid_prob(lo, CC), sigmoid_prob(hi, CC)
+        slope = CC.steepness * min(p_lo * (1.0 - p_lo), p_hi * (1.0 - p_hi))
+        d = 1.0 + math.exp(CC.steepness * (CC.midpoint - hi))
+        if (hi - lo) * slope / p_hi <= math.ulp(d) / d:
+            return
+        assert p_lo < p_hi
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_monotone_globally(self, a, b):
