@@ -3,20 +3,18 @@ aerial platform: weighted resource-fair scheduling, latency/risk sensing,
 a supervisory state machine, and a delayed control-loop plant proxy."""
 
 from .cell import CellModel, FrameSource, PacedSource, PeriodicSource, \
-    measure_rtt
-from .engine import RunSummary, Simulation, SimulationContractError, \
-    TraceRecord, run
+    SimulationContractError, measure_rtt
+from .engine import RunSummary, Simulation, TraceRecord, run
 from .fsm import ActionCommand, QosSupervisor, SignalSet, emit_signals, \
     rate_adapt_step, transition
 from .output import emit
 from .plant import CircularReference, ControllerConfig, PlantState, \
-    controller_tick, onboard_fallback_tick, plant_step, run_fixed_delay_loop
+    controller_tick, onboard_fallback_tick, plant_step
 from .scenario import ConfigError, ScenarioConfig, builtin_config_path, \
     load_config, parse_config
 from .scheduler import LinkConfig, Packet, QosFlow, schedule_tti, \
     set_priority
-from .sensing import PointCloud, RiskState, SigmoidParams, clutter_prob, \
-    latency_condition, risk_update, sigmoid_prob, spaciousness, \
-    synth_point_cloud, window_mean
+from .sensing import SigmoidParams, clutter_prob, latency_condition, \
+    risk_update, sigmoid_prob, spaciousness, synth_point_cloud, window_mean
 
 __version__ = "0.1.0"

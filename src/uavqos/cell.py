@@ -35,6 +35,10 @@ from .scheduler import (
 )
 
 
+class SimulationContractError(Exception):
+    """An internal invariant broke; the message names where."""
+
+
 class FrameSource:
     """Constant-bit-rate frame stream (camera).
 
@@ -269,7 +273,9 @@ class CellModel:
         payload-free packets that spans sources is one run.
 
         Each call lets the source with the earliest next packet emit up to
-        the next packet of any other source, so no sort is needed."""
+        the next packet of any other source, so no sort is needed. A source
+        whose call leaves its `next_due` where it was would be picked
+        again without end, so that breaks the source contract."""
         out = []
         while True:
             best, first, at = None, end, 0
@@ -286,7 +292,12 @@ class CellModel:
                         math.nextafter(src.next_due, math.inf)
                     if d < bound:
                         bound = d
-            for run in best.emit_until(bound):
+            runs = best.emit_until(bound)
+            if best.next_due == first:
+                raise SimulationContractError(
+                    f"source {type(best).__name__} made no progress past "
+                    f"{first} ms when asked for its packets before {bound} ms")
+            for run in runs:
                 if out and run[3] is None:
                     tail = out[-1]
                     if tail[3] is None and tail[2] == run[2] and \

@@ -22,6 +22,7 @@ from .cell import (
     FrameSource,
     PacedSource,
     PeriodicSource,
+    SimulationContractError,
     measure_rtt,
 )
 from .fsm import (
@@ -51,7 +52,6 @@ from .scheduler import (
     set_priority,
 )
 from .sensing import (
-    RiskState,
     clutter_prob,
     latency_condition,
     risk_update,
@@ -59,10 +59,6 @@ from .sensing import (
     synth_point_cloud,
     window_mean,
 )
-
-
-class SimulationContractError(Exception):
-    """An internal invariant broke; the message names the offending tick."""
 
 
 @dataclass
@@ -158,7 +154,7 @@ class Simulation:
         # latest per-frame camera delays and control round trips
         self.cam_window: deque[float] = deque(maxlen=pf.cam_window)
         self.cc_window: deque[float] = deque(maxlen=pf.cc_window)
-        self.risk = RiskState(alpha=pf.ema_alpha, beta=pf.ema_beta)
+        self.risk_s: Optional[float] = None     # filtered spaciousness
         self.supervisor = None
         if config.qos == "dynamic":
             self.supervisor = QosSupervisor(pf.hl_persist_evals,
@@ -341,7 +337,7 @@ class Simulation:
                     / 1e6,
                     uav_goodput=(uav_bits - reported_uav) * scale,
                     bg_goodput=(bg_bits - reported_bg) * scale,
-                    s_k=self.risk.s if self.risk.s is not None else 0.0,
+                    s_k=self.risk_s if self.risk_s is not None else 0.0,
                     P_lat=self.p_lat,
                     P_cs=self.p_cs,
                     tracking_error=self.plant.tracking_error,
@@ -357,16 +353,15 @@ class Simulation:
         cfg = self.cfg
         pf = cfg.pfsm
         seg = self._environment_target(t)
-        cloud = synth_point_cloud(seg.spaciousness_m, self.plant.position,
-                                  self.rng_env, noise_std=seg.noise_std)
-        sample = spaciousness(cloud)
-        _, level = risk_update(self.risk, sample)
+        sample = spaciousness(synth_point_cloud(
+            seg.spaciousness_m, self.rng_env, noise_std=seg.noise_std))
+        self.risk_s, level = risk_update(self.risk_s, sample, pf)
 
         t1 = window_mean(self.cam_window)
         t2 = window_mean(self.cc_window)
         if t1 is not None and t2 is not None:
             self.p_lat = latency_condition(t1, t2, pf)
-        self.p_cs = clutter_prob(self.risk.s, pf.risk_sigmoid)
+        self.p_cs = clutter_prob(self.risk_s, pf.risk_sigmoid)
         link_ok = (t - self.last_rtt_arrival) <= pf.link_lost_timeout_ms
         self.signals = emit_signals(self.p_lat, level, link_ok,
                                     pf.latency_threshold, pf.mode,

@@ -103,10 +103,7 @@ def plant_step(state: PlantState, command: np.ndarray,
 class CircularReference:
     """Planar circle of given radius and period at a fixed altitude."""
 
-    def __init__(self, radius_m: float = 1.0, period_s: float = 20.0,
-                 altitude_m: float = 1.0):
-        if radius_m < 0 or period_s <= 0:
-            raise ValueError("bad reference geometry")
+    def __init__(self, radius_m: float, period_s: float, altitude_m: float):
         self.radius = radius_m
         self.omega = 2.0 * math.pi / period_s
         self.altitude = altitude_m
@@ -120,75 +117,3 @@ class CircularReference:
         th = self.omega * t_ms / 1000.0
         v = self.radius * self.omega
         return np.array([-v * math.sin(th), v * math.cos(th), 0.0])
-
-
-@dataclass
-class FixedDelayResult:
-    max_error: float
-    steady_error: float        # max over the final third of the run
-    diverged: bool
-    divergence_time_ms: Optional[float]
-
-
-def run_fixed_delay_loop(rtt_ms: float, duration_ms: float = 60_000.0,
-                         config: Optional[ControllerConfig] = None,
-                         reference: Optional[CircularReference] = None,
-                         rtt_override=None) -> FixedDelayResult:
-    """Closed loop under a constant round-trip delay, split evenly between
-    the state uplink and the command downlink.
-
-    `rtt_override(t_ms)` may replace the delay for part of the run (used to
-    study priority switches). The loop is fully deterministic.
-    """
-    cfg = config or ControllerConfig()
-    ref = reference or CircularReference()
-    dt = cfg.plant_dt_ms
-    state = PlantState(position=ref.position(0.0),
-                       velocity=ref.velocity(0.0),
-                       reference=ref.position(0.0))
-
-    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
-    pending: list[tuple[float, np.ndarray]] = []   # (apply_at, command)
-    current_cmd = np.zeros(3)
-    max_err = 0.0
-    steady_start = duration_ms * 2.0 / 3.0
-    steady_err = 0.0
-    diverged = False
-    diverged_at = None
-
-    n_steps = int(round(duration_ms / dt))
-    ctrl_every = max(1, int(round(cfg.period_ms / dt)))
-    for k in range(n_steps):
-        t = k * dt
-        rtt = rtt_override(t) if rtt_override is not None else rtt_ms
-        one_way = rtt / 2.0
-        snapshots.append((t, state.position.copy(), state.velocity.copy()))
-
-        if k % ctrl_every == 0:
-            # most recent snapshot old enough to have crossed the uplink
-            seen = None
-            for ts, pos, vel in reversed(snapshots):
-                if ts <= t - one_way:
-                    seen = PlantState(position=pos, velocity=vel,
-                                      reference=ref.position(t))
-                    break
-            cmd = controller_tick(seen, cfg, ref_velocity=ref.velocity(t))
-            pending.append((t + one_way, cmd))
-            if len(snapshots) > 4096:
-                del snapshots[:2048]
-
-        while pending and pending[0][0] <= t:
-            current_cmd = pending.pop(0)[1]
-
-        state.reference = ref.position(t)
-        plant_step(state, current_cmd, dt)
-        max_err = max(max_err, state.tracking_error)
-        if t >= steady_start:
-            steady_err = max(steady_err, state.tracking_error)
-        if not diverged and (state.tracking_error > cfg.divergence_threshold_m
-                             or not np.isfinite(state.position).all()):
-            diverged = True
-            diverged_at = t
-            break
-
-    return FixedDelayResult(max_err, steady_err, diverged, diverged_at)

@@ -1,10 +1,11 @@
 """Stimulus conditioning for the QoS supervisor.
 
 Turns raw observations (per-frame camera delivery delay, control round-trip
-samples, synthetic point clouds) into the probabilities and risk bands the
-state machine consumes: logistic transition probabilities, sliding-window
-latency means, a weighted latency condition, and an EMA-filtered
-spaciousness estimate with high/middle/low risk bands.
+samples, synthetic point clouds held as the ranges of their points) into
+the probabilities and risk bands the state machine consumes: logistic
+transition probabilities, sliding-window latency means, a weighted latency
+condition, and an EMA-filtered spaciousness estimate whose clutter
+probability sets the high-risk band.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ HIGH_RISK = "HR"
 MIDDLE_RISK = "MR"
 LOW_RISK = "LR"
 
-# spaciousness (m) at or below which the risk is high, and middle
-HR_THRESHOLD_M = 3.0
+# spaciousness (m) at or below which a risk that is not high is middle
 MR_THRESHOLD_M = 5.0
+# points in one synthetic point cloud
+N_POINTS = 256
 
 
 @dataclass
@@ -77,75 +79,42 @@ def latency_condition(t1: float, t2: float, pf) -> float:
             + pf.cc_weight * sigmoid_prob(t2, pf.cc_sigmoid))
 
 
-@dataclass
-class PointCloud:
-    points: np.ndarray          # (n, 3) coordinates in metres
-    center: np.ndarray          # drone centre of mass
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.center = np.asarray(self.center, dtype=float)
-        if not np.all(np.isfinite(self.points)) or \
-                not np.all(np.isfinite(self.center)):
-            raise ValueError("point cloud coordinates must be finite")
+def spaciousness(ranges: np.ndarray) -> float:
+    """Mean distance (m) from the drone centre to the points of a cloud,
+    given as their ranges."""
+    return float(ranges.mean())
 
 
-def spaciousness(cloud: PointCloud) -> Optional[float]:
-    """Mean Euclidean distance from the drone centre to every point."""
-    if cloud.points.size == 0:
-        return None
-    return float(np.linalg.norm(cloud.points - cloud.center, axis=1).mean())
+def synth_point_cloud(target_s: float, rng: np.random.Generator,
+                      noise_std: float = 0.0) -> np.ndarray:
+    """Ranges of N_POINTS points whose mean distance is `target_s`.
 
-
-def synth_point_cloud(target_s: float, center, rng: np.random.Generator,
-                      n_points: int = 256, noise_std: float = 0.0) -> PointCloud:
-    """Sphere of points around `center` whose mean distance is `target_s`.
-
-    Directions are drawn uniformly on the unit sphere; optional Gaussian
-    radial noise perturbs individual ranges without biasing the mean.
+    Optional Gaussian noise perturbs each range without biasing the mean;
+    a range never falls below 1 cm.
     """
-    if target_s <= 0:
-        raise ValueError("spaciousness target must be positive")
-    dirs = rng.normal(size=(n_points, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.full(n_points, target_s)
+    ranges = np.full(N_POINTS, float(target_s))
     if noise_std > 0:
-        radii = np.maximum(radii + rng.normal(0.0, noise_std, n_points), 0.01)
-    center = np.asarray(center, dtype=float)
-    return PointCloud(center + dirs * radii[:, None], center)
+        ranges = np.maximum(ranges + rng.normal(0.0, noise_std, N_POINTS),
+                            0.01)
+    return ranges
 
 
-@dataclass
-class RiskState:
-    """EMA-filtered spaciousness.
+def risk_update(s: Optional[float], sample_s: float,
+                pf) -> tuple[float, str]:
+    """Fold one spaciousness sample into the EMA `s` with the coefficients
+    of the PFSM config `pf`, and classify the band: high risk when the
+    clutter probability of the estimate reaches `pf.clutter_threshold`,
+    else middle risk at or below MR_THRESHOLD_M, else low risk.
 
-    alpha weighs the previous estimate, beta the fresh sample; they must sum
-    to 1.
+    The filter is seeded with the first sample (`s` is None) so startup
+    does not fabricate a high-risk episode from an arbitrary initial value.
     """
-
-    alpha: float = 0.8
-    beta: float = 0.2
-    s: Optional[float] = None
-
-    def __post_init__(self):
-        if self.alpha + self.beta != 1.0:
-            raise ValueError("EMA coefficients must sum to 1")
-
-
-def risk_update(state: RiskState, sample_s: float) -> tuple[RiskState, str]:
-    """Fold one spaciousness sample into the EMA and classify the band:
-    s <= HR_THRESHOLD_M is high risk, s <= MR_THRESHOLD_M middle risk,
-    anything above is low risk.
-
-    The filter is seeded with the first sample so startup does not fabricate
-    a high-risk episode from an arbitrary initial value.
-    """
-    if state.s is None:
-        state.s = float(sample_s)
+    if s is None:
+        s = float(sample_s)
     else:
-        state.s = state.alpha * state.s + state.beta * sample_s
-    if state.s <= HR_THRESHOLD_M:
-        return state, HIGH_RISK
-    if state.s <= MR_THRESHOLD_M:
-        return state, MIDDLE_RISK
-    return state, LOW_RISK
+        s = pf.ema_alpha * s + pf.ema_beta * sample_s
+    if clutter_prob(s, pf.risk_sigmoid) >= pf.clutter_threshold:
+        return s, HIGH_RISK
+    if s <= MR_THRESHOLD_M:
+        return s, MIDDLE_RISK
+    return s, LOW_RISK

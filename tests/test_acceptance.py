@@ -30,7 +30,7 @@ from uavqos.fsm import (
     transition,
 )
 from uavqos.output import summary_json, trace_csv_lines
-from uavqos.scenario import parse_config
+from uavqos.scenario import PfsmConfig, parse_config
 from uavqos.scheduler import (
     BACKGROUND,
     UPLINK,
@@ -38,9 +38,9 @@ from uavqos.scheduler import (
     QosFlow,
 )
 from uavqos.sensing import (
+    HIGH_RISK,
     LOW_RISK,
     MIDDLE_RISK,
-    RiskState,
     SigmoidParams,
     risk_update,
     sigmoid_prob,
@@ -107,6 +107,20 @@ def capped_run():
         lambda raw: raw["uplink"].update(buffer_cap_bits=600_000))
 
 
+@pytest.fixture(scope="module")
+def noisy_risk_run():
+    """10 s of bundled dynamic_qos_bg with the background on from 3 to 8 s
+    in cluttered surroundings (2.5 m, high risk) until 5 s, then 6 m, both
+    with noisy ranges."""
+    raw = raw_scenario("dynamic_qos_bg")
+    raw["duration_ms"] = 10_000.0
+    raw["background"]["active_window_ms"] = [3_000.0, 8_000.0]
+    raw["environment"] = [
+        {"spaciousness_m": 2.5, "until_ms": 5_000.0, "noise_std": 0.5},
+        {"spaciousness_m": 6.0, "noise_std": 0.5}]
+    return run(parse_config(raw))
+
+
 # sha256 of the trace.csv and summary.json bytes `emit` writes for each run
 OUTPUT_DIGESTS = {
     "baseline_run": (
@@ -130,6 +144,9 @@ OUTPUT_DIGESTS = {
     "capped_run": (
         "ffc10ea4f9efe9701bedc34e4bf172d3077727c771a2f6d0fdb85013ca23d966",
         "dec3d68651e8c339dcac7931ac7165677e5e2baf2f54e5499eee1f702e3af7e0"),
+    "noisy_risk_run": (
+        "9436a900f80753a02b2310e36762ff7a98d5d727dad47e533f36eda823ed677c",
+        "8fd227b9e77b2e3312b04cc446606b2a857b0c1f875ff15e28715b6af925a9a6"),
 }
 
 
@@ -302,16 +319,17 @@ def test_criterion_6_sensing_units():
     win = deque(samples, maxlen=50)
     assert window_mean(win) == sum(samples[-50:]) / 50
 
-    state = RiskState(alpha=0.8, beta=0.2, s=9.0)
-    target = 2.5
+    pf = PfsmConfig()           # EMA 0.8/0.2, clutter threshold 0.5
+    s, target = 9.0, 2.5
     for k in range(1, 40):
-        risk_update(state, target)
-        assert abs(abs(state.s - target) - 0.8 ** k * abs(9.0 - target)) \
-            <= 1e-9
-    for s in np.linspace(0.0, 12.0, 500):
-        st = RiskState(s=float(s))
-        bands = [st.s <= 3.0, 3.0 < st.s <= 5.0, st.s > 5.0]
+        s, _ = risk_update(s, target, pf)
+        assert abs(abs(s - target) - 0.8 ** k * abs(9.0 - target)) <= 1e-9
+    for x in np.linspace(0.0, 12.0, 500):
+        s, level = risk_update(None, float(x), pf)
+        assert s == x                   # seeded by the first sample
+        bands = [s <= 3.0, 3.0 < s <= 5.0, s > 5.0]
         assert bands.count(True) == 1
+        assert level == (HIGH_RISK, MIDDLE_RISK, LOW_RISK)[bands.index(True)]
     print("\nACCEPTANCE 6 PASS: sigmoid midpoints 0.5 within 1e-12, window "
           "mean exact, EMA contraction within 1e-9, risk bands partition")
 

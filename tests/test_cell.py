@@ -19,6 +19,7 @@ from uavqos.cell import (
     FrameSource,
     PacedSource,
     PeriodicSource,
+    SimulationContractError,
     measure_rtt,
 )
 from uavqos.scheduler import (
@@ -604,6 +605,27 @@ class TestMergeOrder:
                 cell.step()
                 assert [rec[1:] for rec in log] == sort_and_regroup(batches)
         assert ties >= 50
+
+    def test_source_without_progress_raises(self):
+        class Stuck:
+            """Due at 0 ms, yet emits nothing and never moves on; fails
+            the test instead of hanging it if the merge keeps asking."""
+
+            next_due = 0.0
+            calls = 0
+
+            def emit_until(self, end_ms):
+                self.calls += 1
+                if self.calls > 3:
+                    raise AssertionError("merge kept calling a stuck source")
+                return []
+
+        cell = CellModel(UL, DL)
+        flow = cell.add_flow(UPLINK, 1.0)
+        cell.attach_source(PeriodicSource(100.0, 12_000), flow)
+        cell.attach_source(Stuck(), flow)
+        with pytest.raises(SimulationContractError, match="Stuck"):
+            cell.step()
 
 
 

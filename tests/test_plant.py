@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+from conftest import raw_scenario
+from uavqos.engine import run
 from uavqos.plant import (
-    CircularReference,
     ControllerConfig,
     PlantState,
     _clamp,
     controller_tick,
     onboard_fallback_tick,
     plant_step,
-    run_fixed_delay_loop,
 )
+from uavqos.scenario import parse_config
 
 CFG = ControllerConfig()
 
@@ -69,38 +70,32 @@ class TestPlantStep:
         assert s.tracking_error == pytest.approx(1.0)
 
 
+def delayed_run(base_delay_ms=None, duration_ms=30_000.0):
+    """Summary of bundled no_qos_no_bg, shortened, with the one-way base
+    delay of both directions replaced when given."""
+    raw = raw_scenario("no_qos_no_bg")
+    raw["duration_ms"] = duration_ms
+    if base_delay_ms is not None:
+        raw["uplink"]["base_delay_ms"] = base_delay_ms
+        raw["downlink"]["base_delay_ms"] = base_delay_ms
+    return run(parse_config(raw))[1]
+
+
 class TestDelayedLoop:
     def test_bounded_tracking_at_nominal_rtt(self):
-        r = run_fixed_delay_loop(27.0, duration_ms=60_000)
-        assert not r.diverged
-        assert r.steady_error < 0.1
+        summary = delayed_run()
+        assert summary.stability == "stable"
+        assert summary.max_tracking_error_m < 0.1
 
     def test_error_non_decreasing_in_rtt(self):
-        sweep = [10.0, 27.0, 50.0, 80.0, 120.0]
-        errors = [run_fixed_delay_loop(rtt, duration_ms=40_000).steady_error
-                  for rtt in sweep]
+        errors = [delayed_run(d).max_tracking_error_m
+                  for d in (13.65, 100.0, 250.0)]
         assert errors == sorted(errors)
 
     def test_divergence_beyond_margin(self):
-        r = run_fixed_delay_loop(1000.0, duration_ms=120_000)
-        assert r.diverged
-        assert r.divergence_time_ms is not None
-
-    def test_margin_is_deterministic(self):
-        a = run_fixed_delay_loop(700.0, duration_ms=60_000)
-        b = run_fixed_delay_loop(700.0, duration_ms=60_000)
-        assert (a.diverged, a.divergence_time_ms, a.max_error) == \
-            (b.diverged, b.divergence_time_ms, b.max_error)
-
-    def test_small_rtt_switch_is_imperceptible(self):
-        base = run_fixed_delay_loop(27.0, duration_ms=60_000)
-
-        def bumped(t_ms):
-            return 32.0 if 20_000 <= t_ms < 22_000 else 27.0
-
-        switched = run_fixed_delay_loop(27.0, duration_ms=60_000,
-                                        rtt_override=bumped)
-        assert switched.max_error <= 1.10 * base.max_error
+        summary = delayed_run(500.0, duration_ms=60_000.0)
+        assert summary.stability == "unstable"
+        assert summary.instability_time_ms is not None
 
 
 class TestOnboardFallback:
@@ -126,11 +121,3 @@ class TestOnboardFallback:
         s = PlantState(position=np.ones(3), velocity=np.zeros(3),
                        reference=np.ones(3))
         assert np.allclose(onboard_fallback_tick(s, CFG), 0.0)
-
-    def test_offloaded_control_resumes_after_fallback(self):
-        # settle onto the hold point, then hand back to the delayed loop
-        v = np.array([0.0, 0.3, 0.0])
-        s, _ = self.run_fallback(v, seconds=5.0)
-        ref = CircularReference()
-        r = run_fixed_delay_loop(27.0, duration_ms=30_000, reference=ref)
-        assert not r.diverged and r.steady_error < 0.1

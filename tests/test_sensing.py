@@ -2,11 +2,12 @@
 
 Expected values are either trivial arithmetic or recomputed in-test with an
 independent formulation (math.exp directly, brute-force loops over raw
-samples, explicit EMA iteration).
+samples, explicit EMA iteration, the fixed band edges).
 """
 
 import math
 import random
+import struct
 from collections import deque
 
 import numpy as np
@@ -14,13 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavqos.scenario import PfsmConfig
+from conftest import raw_scenario
+from uavqos.scenario import ConfigError, PfsmConfig, parse_config
 from uavqos.sensing import (
     HIGH_RISK,
     LOW_RISK,
     MIDDLE_RISK,
-    PointCloud,
-    RiskState,
+    N_POINTS,
     SigmoidParams,
     clutter_prob,
     latency_condition,
@@ -138,55 +139,73 @@ class TestLatencyCondition:
 
 class TestSpaciousness:
     def test_sphere_of_constant_radius(self):
-        rng = np.random.default_rng(0)
-        cloud = synth_point_cloud(4.0, center=(1.0, 2.0, 3.0), rng=rng)
-        assert spaciousness(cloud) == pytest.approx(4.0, abs=1e-9)
+        ranges = synth_point_cloud(4.0, np.random.default_rng(0))
+        assert len(ranges) == N_POINTS
+        assert spaciousness(ranges) == pytest.approx(4.0, abs=1e-9)
 
     def test_axis_points(self):
-        cloud = PointCloud(np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 3.0]]),
-                           np.zeros(3))
-        assert spaciousness(cloud) == pytest.approx(2.0)
+        # (1, 0, 0), (0, 2, 0) and (0, 0, 3) seen from the origin
+        assert spaciousness(np.array([1.0, 2.0, 3.0])) == pytest.approx(2.0)
 
     def test_shifted_cube_matches_brute_force(self):
         rng = np.random.default_rng(42)
         pts = rng.uniform(0.0, 1.0, size=(500, 3)) + np.array([10.0, 0.0, 0.0])
         center = np.array([0.5, 0.5, 0.5])
-        cloud = PointCloud(pts, center)
-        brute = sum(math.dist(p, center) for p in pts) / len(pts)
-        assert spaciousness(cloud) == pytest.approx(brute, abs=1e-9)
+        ranges = np.array([math.dist(p, center) for p in pts])
+        brute = sum(ranges.tolist()) / len(pts)
+        assert spaciousness(ranges) == pytest.approx(brute, abs=1e-9)
 
-    def test_empty_cloud_sentinel(self):
-        cloud = PointCloud(np.empty((0, 3)), np.zeros(3))
-        assert spaciousness(cloud) is None
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.array([[np.inf, 0, 0]]), np.zeros(3))
+    def test_noisy_ranges_match_per_point_draws(self):
+        # near the wall, so the 1 cm floor binds for some points
+        ranges = synth_point_cloud(0.3, np.random.default_rng(9), 0.5)
+        rng = np.random.default_rng(9)
+        reference = [max(0.3 + rng.normal(0.0, 0.5), 0.01)
+                     for _ in range(N_POINTS)]
+        assert ranges.tolist() == pytest.approx(reference, abs=1e-15)
+        assert min(reference) == 0.01
 
     def test_synth_deterministic_per_seed(self):
-        a = synth_point_cloud(3.0, (0, 0, 0), np.random.default_rng(5))
-        b = synth_point_cloud(3.0, (0, 0, 0), np.random.default_rng(5))
-        assert np.array_equal(a.points, b.points)
+        a = synth_point_cloud(3.0, np.random.default_rng(5), noise_std=0.5)
+        b = synth_point_cloud(3.0, np.random.default_rng(5), noise_std=0.5)
+        assert np.array_equal(a, b)
+
+
+def fixed_band(s):
+    """The band rule with fixed edges: high risk at or below 3 m, middle
+    at or below 5 m, low above."""
+    if s <= 3.0:
+        return HIGH_RISK
+    if s <= 5.0:
+        return MIDDLE_RISK
+    return LOW_RISK
+
+
+def ulps_from_three(k):
+    """The double k units in the last place away from 3.0."""
+    bits = struct.unpack("<q", struct.pack("<d", 3.0))[0]
+    return struct.unpack("<d", struct.pack("<q", bits + k))[0]
 
 
 class TestRiskUpdate:
+    # defaults: EMA 0.8/0.2, risk curve steepness 5 and midpoint 3,
+    # clutter threshold 0.5
+    PF = PfsmConfig()
+
     def test_fixed_point_high_risk(self):
-        state = RiskState(s=2.0)
-        state, level = risk_update(state, 2.0)
-        assert state.s == 2.0 and level == HIGH_RISK
+        s, level = risk_update(2.0, 2.0, self.PF)
+        assert s == 2.0 and level == HIGH_RISK
 
     def test_fixed_point_middle_risk(self):
-        state = RiskState(s=4.0)
-        state, level = risk_update(state, 4.0)
-        assert state.s == 4.0 and level == MIDDLE_RISK
+        s, level = risk_update(4.0, 4.0, self.PF)
+        assert s == 4.0 and level == MIDDLE_RISK
 
     def test_step_response_crosses_band_at_seventh_sample(self):
         # s_n = 2 + 4 * 0.8^n starting from 6 with constant input 2
-        state = RiskState(alpha=0.8, beta=0.2, s=6.0)
+        s = 6.0
         levels = []
         for n in range(1, 10):
-            state, level = risk_update(state, 2.0)
-            assert state.s == pytest.approx(2.0 + 4.0 * 0.8 ** n, abs=1e-12)
+            s, level = risk_update(s, 2.0, self.PF)
+            assert s == pytest.approx(2.0 + 4.0 * 0.8 ** n, abs=1e-12)
             levels.append(level)
         first_hr = levels.index(HIGH_RISK) + 1
         assert first_hr == 7
@@ -195,25 +214,45 @@ class TestRiskUpdate:
            st.integers(1, 60))
     @settings(max_examples=80)
     def test_geometric_contraction(self, alpha, s0, target, k):
-        state = RiskState(alpha=alpha, beta=1.0 - alpha, s=s0)
+        pf = PfsmConfig(ema_alpha=alpha, ema_beta=1.0 - alpha)
+        s = s0
         for _ in range(k):
-            state, _ = risk_update(state, target)
-        assert abs(state.s - target) == pytest.approx(
+            s, _ = risk_update(s, target, pf)
+        assert abs(s - target) == pytest.approx(
             alpha ** k * abs(s0 - target), abs=1e-9 * max(1.0, s0, target))
 
     def test_seeded_by_first_sample(self):
-        state = RiskState()
-        state, level = risk_update(state, 4.0)
-        assert state.s == 4.0 and level == MIDDLE_RISK
+        s, level = risk_update(None, 4.0, self.PF)
+        assert s == 4.0 and level == MIDDLE_RISK
 
-    @given(st.floats(0.0, 1e6))
+    @given(st.one_of(st.floats(0.0, 1e6),
+                     st.integers(-2000, 2000).map(ulps_from_three)))
+    @example(3.0)
+    @example(ulps_from_three(1))
+    @example(ulps_from_three(-1))
+    @example(5.0)
+    @example(math.nextafter(5.0, math.inf))
     def test_band_partition_total(self, s):
-        state = RiskState(s=s)
-        _, level = risk_update(state, s)
-        assert level in (HIGH_RISK, MIDDLE_RISK, LOW_RISK)
-        matches = [state.s <= 3.0, 3.0 < state.s <= 5.0, state.s > 5.0]
+        # on the bundled curve the clutter threshold gives the fixed bands,
+        # down to the ulps around 3 m
+        s, level = risk_update(s, s, self.PF)
+        matches = [s <= 3.0, 3.0 < s <= 5.0, s > 5.0]
         assert matches.count(True) == 1
+        assert level == fixed_band(s)
+
+    def test_curve_and_threshold_move_the_band(self):
+        later = PfsmConfig(risk_sigmoid=SigmoidParams(5.0, 4.0))
+        assert [risk_update(None, s, later)[1] for s in (3.5, 4.0, 4.5)] \
+            == [HIGH_RISK, HIGH_RISK, MIDDLE_RISK]
+        # P_cs >= 0.9 holds up to 3 - ln(9) / 5 = 2.56 m
+        strict = PfsmConfig(clutter_threshold=0.9)
+        assert [risk_update(None, s, strict)[1] for s in (2.5, 2.6, 2.8)] \
+            == [HIGH_RISK, MIDDLE_RISK, MIDDLE_RISK]
+        assert fixed_band(2.8) == HIGH_RISK
 
     def test_rejects_inconsistent_coefficients(self):
-        with pytest.raises(ValueError):
-            RiskState(alpha=0.8, beta=0.3)
+        # the loader owns the rule that the EMA coefficients sum to 1
+        raw = raw_scenario("dynamic_qos_bg")
+        raw["pfsm"]["ema_beta"] = 0.3
+        with pytest.raises(ConfigError, match="ema_alpha"):
+            parse_config(raw)
