@@ -3,7 +3,7 @@ aerial platform: weighted resource-fair scheduling, latency/risk sensing,
 a supervisory state machine, and a delayed control-loop plant proxy."""
 
 from .cell import CellModel, FrameSource, PacedSource, PeriodicSource, \
-    SimulationContractError, measure_rtt
+    SimulationContractError
 from .engine import RunSummary, Simulation, TraceRecord, run
 from .fsm import ActionCommand, QosSupervisor, SignalSet, emit_signals, \
     rate_adapt_step, transition

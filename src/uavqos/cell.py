@@ -23,7 +23,6 @@ from typing import Callable, Optional
 from .scheduler import (
     BACKGROUND,
     CAMERA,
-    COMMAND,
     CONTROL_STATE,
     DOWNLINK,
     PACKET_KINDS,
@@ -127,14 +126,11 @@ class FrameSource:
 
 
 class PeriodicSource:
-    """Small fixed-size packet every period (control state stream).
+    """Small fixed-size packet every period (control state stream); each
+    packet is a run of its own whose payload is `payload_fn(due)`."""
 
-    With a `payload_fn`, each packet is a run of its own whose payload is
-    `payload_fn(due)`; without, the packets due in one call form one
-    run."""
-
-    def __init__(self, hz: float, packet_bits: int = 12_000,
-                 payload_fn: Optional[Callable[[float], object]] = None):
+    def __init__(self, hz: float, packet_bits: int,
+                 payload_fn: Callable[[float], object]):
         if hz <= 0 or packet_bits <= 0:
             raise ValueError("periodic source parameters must be positive")
         self.period = 1000.0 / hz
@@ -144,18 +140,14 @@ class PeriodicSource:
         self.next_due = 0.0
 
     def emit_until(self, end_ms: float):
-        first = idx = self._idx
+        idx = self._idx
         period = self.period
         out = []
         while idx * period < end_ms:
-            if self.payload_fn is not None:
-                due = idx * period
-                out.append((due, self.packet_bits, CONTROL_STATE,
-                            self.payload_fn(due), 1))
+            due = idx * period
+            out.append((due, self.packet_bits, CONTROL_STATE,
+                        self.payload_fn(due), 1))
             idx += 1
-        if self.payload_fn is None and idx > first:
-            out.append((first * period, self.packet_bits, CONTROL_STATE,
-                        None, idx - first))
         self._idx = idx
         self.next_due = idx * period
         return out
@@ -208,30 +200,32 @@ class _Direction:
 
 class CellModel:
     """One cell: uplink and downlink schedulers plus the attached traffic.
+    The cell moves bits; the closed loop on top of it (echoing commands,
+    measuring round trips) belongs to its caller.
 
     Multiple sources may feed one flow (the platform's whole traffic
     profile rides a single QoS flow that is re-prioritized as one unit).
     A source offers `next_due`, the due time of its next packet (inf when
     it has none), and `emit_until(end_ms)`, which returns the
     `(due, bits, kind, payload, count)` runs of its packets due before
-    `end_ms` in due order, `due` being the run's first packet's; two runs
-    in a row never both carry nothing with the same kind and size. The
+    `end_ms` in due order, `due` being the run's first packet's. The
     cell calls a source only when its next packet is due in the tick.
-    `outages` holds the [start, end) windows (ms) in which neither
-    direction is scheduled. `arrived_bits` counts, per packet kind, the
-    bits of every packet that has arrived so far.
+    Each flow takes its direction's buffer cap. `outages` holds the
+    [start, end) windows (ms) in which neither direction is scheduled;
+    while `jitter_ms > 0`, each arrival moves by a uniform draw from
+    `jitter_rng` within ±`jitter_ms`. `arrived_bits` counts, per packet
+    kind, the bits of every packet that has arrived so far.
     """
 
     def __init__(self, uplink: LinkConfig, downlink: LinkConfig,
                  jitter_ms: float = 0.0, jitter_rng=None, outages=()):
         self.uplink = uplink
-        self.downlink = downlink
         self.flows: dict[int, QosFlow] = {}
         # uplink first: delivery order and the jitter draw order follow it
         self._directions = {UPLINK: _Direction(uplink),
                             DOWNLINK: _Direction(downlink)}
-        # per fed flow: [flow, its direction's buffer cap, its sources]
-        self._feeds: list[list] = []
+        # per fed flow: (flow, its sources)
+        self._feeds: list[tuple[QosFlow, list]] = []
         self.clock = 0.0
         self._ticks = 0
         self._outages = tuple((a, b) for a, b in outages)
@@ -243,34 +237,23 @@ class CellModel:
         self.arrived_bits = dict.fromkeys(PACKET_KINDS, 0.0)
 
     def add_flow(self, direction: str, priority_slope: float = 1.0) -> QosFlow:
-        flow = QosFlow(len(self.flows), direction, priority_slope)
+        flow = QosFlow(len(self.flows), direction, priority_slope,
+                       self._directions[direction].link.buffer_cap_bits)
         self.flows[flow.id] = flow
         self._directions[direction].flows.append(flow)
         return flow
 
     def attach_source(self, source, flow: QosFlow):
-        for feed in self._feeds:
-            if feed[0] is flow:
-                feed[2].append(source)
+        for fed, sources in self._feeds:
+            if fed is flow:
+                sources.append(source)
                 return
-        cap = self._directions[flow.direction].link.buffer_cap_bits
-        self._feeds.append([flow, cap, [source]])
-
-    def enqueue_command(self, flow: QosFlow, created_at: float,
-                        control: Packet, value=None,
-                        size_bits: int = 2000) -> Packet:
-        """Edge-side injection of a downlink command echoing the delivered
-        uplink `control` packet; its payload is (control, value)."""
-        pkt = flow.make_packet(size_bits, created_at, COMMAND,
-                               (control, value))
-        flow.enqueue(pkt, self.downlink.buffer_cap_bits)
-        return pkt
+        self._feeds.append((flow, [source]))
 
     @staticmethod
     def _merged_runs(sources: list, end: float) -> list[tuple]:
         """The runs of several sources' packets due before `end`, in due
-        order with a tie to the source attached first; a run of equal
-        payload-free packets that spans sources is one run.
+        order with a tie to the source attached first.
 
         Each call lets the source with the earliest next packet emit up to
         the next packet of any other source, so no sort is needed. A source
@@ -297,14 +280,7 @@ class CellModel:
                 raise SimulationContractError(
                     f"source {type(best).__name__} made no progress past "
                     f"{first} ms when asked for its packets before {bound} ms")
-            for run in runs:
-                if out and run[3] is None:
-                    tail = out[-1]
-                    if tail[3] is None and tail[2] == run[2] and \
-                            tail[1] == run[1]:
-                        out[-1] = (*tail[:4], tail[4] + run[4])
-                        continue
-                out.append(run)
+            out += runs
 
     def step(self) -> list[tuple[float, Packet]]:
         """Advance one uplink TTI; returns (arrival, packet) for each packet
@@ -316,7 +292,7 @@ class CellModel:
         self._ticks += 1
         end = self._ticks * self.uplink.tti_ms
 
-        for flow, cap, sources in self._feeds:
+        for flow, sources in self._feeds:
             # merge only when two sources of the flow are due in the tick
             due = None
             for src in sources:
@@ -331,7 +307,7 @@ class CellModel:
                 runs = due.emit_until(end)
             for first, bits, kind, payload, count in runs:
                 flow.enqueue(flow.make_packet(bits, first, kind, payload,
-                                              count), cap)
+                                              count))
 
         now = self.clock
         if now >= self._gate_until:
@@ -340,7 +316,7 @@ class CellModel:
             self._gate_until = min((t for w in outages for t in w
                                     if t > now), default=math.inf)
         link_up = self._link_up
-        jitter = self.jitter_ms if self.jitter_rng is not None else 0.0
+        jitter = self.jitter_ms
         arrived = self.arrived_bits
         delivered = []
         for d in self._directions.values():
@@ -369,14 +345,3 @@ class CellModel:
 
     def buffered_bits(self, direction: str = UPLINK) -> float:
         return sum(f.buffered_bits for f in self._directions[direction].flows)
-
-
-def measure_rtt(control_packet: Packet, command_packet: Packet,
-                arrival: float) -> float:
-    """Round trip of one delivered control packet and its command echo,
-    which arrived at `arrival`: the uplink leg (the command is created when
-    the control packet arrives) plus the downlink leg (processing is out of
-    scope)."""
-    ul = command_packet.created_at - control_packet.created_at
-    dl = arrival - command_packet.created_at
-    return ul + dl

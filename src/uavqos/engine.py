@@ -23,7 +23,6 @@ from .cell import (
     PacedSource,
     PeriodicSource,
     SimulationContractError,
-    measure_rtt,
 )
 from .fsm import (
     LOW_LATENCY,
@@ -112,8 +111,7 @@ class Simulation:
 
         self.cell = CellModel(config.uplink, config.downlink,
                               jitter_ms=config.jitter_ms,
-                              jitter_rng=self.rng_jitter
-                              if config.jitter_ms > 0 else None,
+                              jitter_rng=self.rng_jitter,
                               outages=config.link_outages_ms)
 
         pf = config.pfsm
@@ -288,26 +286,27 @@ class Simulation:
 
             if k % ctrl_every == 0 and self.edge_state is not None:
                 pos, vel = self.edge_state
-                delayed = PlantState(position=pos, velocity=vel,
-                                     reference=self.reference.position(t))
                 self.edge_cmd = controller_tick(
-                    delayed, cfg.plant,
-                    ref_velocity=self.reference.velocity(t))
+                    pos, vel, self.reference.position(t),
+                    self.reference.velocity(t), cfg.plant)
 
             for arrival, pkt in self.cell.step():
                 kind = pkt.kind
                 if kind == COMMAND:
                     control, self.applied_cmd = pkt.payload
-                    rtt = measure_rtt(control, pkt, arrival)
+                    # the uplink leg (the command is created when the
+                    # control packet arrives) plus the downlink leg
+                    rtt = (pkt.created_at - control.created_at) + \
+                        (arrival - pkt.created_at)
                     self.cc_window.append(rtt)
                     interval_rtt_sum += rtt
                     interval_rtt_n += 1
                     self.last_rtt_arrival = arrival
                 elif kind == CONTROL_STATE:
                     self.edge_state = pkt.payload
-                    self.cell.enqueue_command(
-                        self.cmd_flow, arrival, pkt, self.edge_cmd,
-                        cfg.command_packet_bits)
+                    self.cmd_flow.enqueue(self.cmd_flow.make_packet(
+                        cfg.command_packet_bits, arrival, COMMAND,
+                        (pkt, self.edge_cmd)))
                 else:                               # a frame's last packet
                     self.cam_window.append(arrival - pkt.payload)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -64,20 +63,14 @@ def _clamp(command: np.ndarray, limit: float) -> np.ndarray:
     return command
 
 
-def controller_tick(delayed_state: Optional[PlantState],
-                    config: ControllerConfig,
-                    ref_velocity: Optional[np.ndarray] = None) -> np.ndarray:
-    """PD command on the delayed error; zero until a state arrives.
-
-    `ref_velocity` is the planner's velocity at controller time, so damping
-    acts on the velocity error rather than dragging against the motion.
-    """
-    if delayed_state is None:
-        return np.zeros(3)
-    err = delayed_state.reference - delayed_state.position
-    vel_err = (ref_velocity if ref_velocity is not None else np.zeros(3)) \
-        - delayed_state.velocity
-    cmd = config.kp * err + config.kd * vel_err
+def controller_tick(position: np.ndarray, velocity: np.ndarray,
+                    ref_position: np.ndarray, ref_velocity: np.ndarray,
+                    config: ControllerConfig) -> np.ndarray:
+    """PD command on the error of a delayed state against the planner's
+    position and velocity at controller time, so damping acts on the
+    velocity error rather than dragging against the motion."""
+    cmd = config.kp * (ref_position - position) + \
+        config.kd * (ref_velocity - velocity)
     return _clamp(cmd, config.command_limit)
 
 

@@ -95,13 +95,15 @@ class LinkConfig:
 
 class QosFlow:
     """A schedulable data flow: FIFO of packet records plus priority
-    state."""
+    state. With a `buffer_cap_bits`, packets that would take the buffered
+    bits past it are tail-dropped."""
 
-    __slots__ = ("id", "direction", "priority_slope", "weight", "buffer",
-                 "head_served_bits", "buffered_bits", "enqueued_bits",
-                 "delivered_bits", "dropped_bits")
+    __slots__ = ("id", "direction", "priority_slope", "buffer_cap_bits",
+                 "weight", "buffer", "head_served_bits", "buffered_bits",
+                 "enqueued_bits", "delivered_bits", "dropped_bits")
 
-    def __init__(self, id: int, direction: str, priority_slope: float = 1.0):
+    def __init__(self, id: int, direction: str, priority_slope: float = 1.0,
+                 buffer_cap_bits: Optional[float] = None):
         if priority_slope <= 0:
             raise ValueError("priority slope must be positive")
         if direction not in (UPLINK, DOWNLINK):
@@ -109,6 +111,7 @@ class QosFlow:
         self.id = id
         self.direction = direction
         self.priority_slope = priority_slope
+        self.buffer_cap_bits = buffer_cap_bits
         self.weight = 0.0
         self.buffer: deque[Packet] = deque()
         self.head_served_bits = 0.0   # of the head record's first packet
@@ -121,7 +124,7 @@ class QosFlow:
                     count=1) -> Packet:
         return Packet(bits, created_at, kind, payload, count)
 
-    def enqueue(self, packet: Packet, buffer_cap_bits=None) -> bool:
+    def enqueue(self, packet: Packet) -> bool:
         """Append the record's packets to the FIFO; returns False when the
         cap tail-dropped any of them.
 
@@ -132,14 +135,15 @@ class QosFlow:
         bits, count = packet.bits, packet.count
         self.enqueued_bits += bits * count
         buffered = self.buffered_bits
-        if buffer_cap_bits is None:
+        cap = self.buffer_cap_bits
+        if cap is None:
             accepted = count
             for _ in range(count):
                 buffered += bits
         else:
             accepted = 0
             for _ in range(count):
-                if buffered + bits > buffer_cap_bits:
+                if buffered + bits > cap:
                     self.dropped_bits += bits
                 else:
                     buffered += bits
@@ -162,10 +166,10 @@ class QosFlow:
         return False
 
     def flush(self) -> float:
-        """Discard all buffered bits (user departs / offload abandoned)."""
-        discarded = self.buffered_bits - self.head_served_bits
+        """Discard all buffered bits (user departs / offload abandoned).
+        The sent bits of a partly sent head already count as delivered."""
+        discarded = self.buffered_bits
         self.dropped_bits += discarded
-        self.delivered_bits += self.head_served_bits
         self.buffer.clear()
         self.buffered_bits = 0.0
         self.head_served_bits = 0.0

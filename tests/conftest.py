@@ -51,26 +51,27 @@ class ReferenceFlow:
     """A flow as a plain per-packet FIFO, one (bits, kind, payload) entry
     per packet: the model the run-length FIFO is checked against."""
 
-    def __init__(self, id: int, slope: float):
+    def __init__(self, id: int, slope: float, cap=None):
         self.id = id
         self.priority_slope = slope
+        self.cap = cap
         self.weight = 0.0
         self.fifo = deque()
         self.head_served_bits = 0.0
         self.buffered_bits = self.enqueued_bits = 0.0
         self.delivered_bits = self.dropped_bits = 0.0
 
-    def enqueue(self, bits, kind, payload, cap):
+    def enqueue(self, bits, kind, payload):
         self.enqueued_bits += bits
-        if cap is not None and self.buffered_bits + bits > cap:
+        if self.cap is not None and self.buffered_bits + bits > self.cap:
             self.dropped_bits += bits
             return
         self.fifo.append((bits, kind, payload))
         self.buffered_bits += bits
 
     def flush(self):
-        self.dropped_bits += self.buffered_bits - self.head_served_bits
-        self.delivered_bits += self.head_served_bits
+        # a partly sent head's sent bits already count as delivered
+        self.dropped_bits += self.buffered_bits
         self.fifo.clear()
         self.buffered_bits = self.head_served_bits = 0.0
 
@@ -118,7 +119,8 @@ class ReferenceLink:
 
     def __init__(self, link, slopes, jitter_ms=0.0, jitter_rng=None):
         self.link = link
-        self.flows = [ReferenceFlow(i, s) for i, s in enumerate(slopes)]
+        self.flows = [ReferenceFlow(i, s, link.buffer_cap_bits)
+                      for i, s in enumerate(slopes)]
         self.jitter_ms = jitter_ms
         self.jitter_rng = jitter_rng
         self.in_flight = deque()
@@ -132,7 +134,7 @@ class ReferenceLink:
         end = self.clock + self.link.tti_ms
         for flow, items in zip(self.flows, emitted):
             for _, bits, kind, payload in items:
-                flow.enqueue(bits, kind, payload, self.link.buffer_cap_bits)
+                flow.enqueue(bits, kind, payload)
         for bits, kind, payload, dep in reference_tti(self.flows, self.link,
                                                       self.clock):
             arrival = dep + self.link.base_delay_ms

@@ -20,7 +20,6 @@ from uavqos.cell import (
     PacedSource,
     PeriodicSource,
     SimulationContractError,
-    measure_rtt,
 )
 from uavqos.scheduler import (
     BACKGROUND,
@@ -30,7 +29,6 @@ from uavqos.scheduler import (
     DOWNLINK,
     UPLINK,
     LinkConfig,
-    QosFlow,
 )
 
 UL = LinkConfig(81.3e6, 0.5, 13.65)
@@ -59,11 +57,12 @@ def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6,
 
 
 def drive(cell, cmd_flow, duration_ms, echo=True, exchanges=None):
-    """Run the cell with the edge echoing every control packet; RTT samples
-    are (control created_at, rtt) pairs, the platform and background bits
-    are those that arrived during the drive, and `exchanges`, when given,
-    collects (control, its arrival, command, its arrival) for every echo
-    that came back, from the arrival stamps `step` returns."""
+    """Run the cell with the edge echoing every control packet as the
+    engine does; RTT samples are (control created_at, rtt) pairs, the
+    platform and background bits are those that arrived during the drive,
+    and `exchanges`, when given, collects (control, its arrival, command,
+    its arrival) for every echo that came back, from the arrival stamps
+    `step` returns."""
     rtts = []
     before = dict(cell.arrived_bits)
     deliveries = 0
@@ -73,13 +72,16 @@ def drive(cell, cmd_flow, duration_ms, echo=True, exchanges=None):
             deliveries += 1
             if pkt.kind == COMMAND:
                 ctrl, _ = pkt.payload
-                rtts.append((ctrl.created_at, measure_rtt(ctrl, pkt, arrival)))
+                rtts.append((ctrl.created_at,
+                             (pkt.created_at - ctrl.created_at)
+                             + (arrival - pkt.created_at)))
                 if exchanges is not None:
                     exchanges.append((ctrl, ctrl_arrival.pop(ctrl), pkt,
                                       arrival))
             elif pkt.kind == CONTROL_STATE and echo:
                 ctrl_arrival[pkt] = arrival
-                cell.enqueue_command(cmd_flow, arrival, pkt)
+                cmd_flow.enqueue(cmd_flow.make_packet(2000, arrival, COMMAND,
+                                                      (pkt, None)))
     arrived = {k: bits - before[k] for k, bits in cell.arrived_bits.items()}
     uav_bits = arrived[CONTROL_STATE] + arrived[CAMERA]
     return rtts, uav_bits, arrived[BACKGROUND], deliveries
@@ -102,7 +104,7 @@ class TestStep:
         link = LinkConfig(81.3e6, 0.1, 13.65)
         cell = CellModel(link, link)
         flow = cell.add_flow(UPLINK, 1.0)
-        cell.attach_source(PeriodicSource(100.0, 12_000), flow)
+        cell.attach_source(stamped_control(), flow)
         for _ in range(200):
             cell.step()
         assert cell.clock == 20.0
@@ -340,12 +342,12 @@ class TestSetSourceRate:
 
 
 def sort_and_regroup(batches):
-    """The cell's enqueue order before sources emitted runs: a tick's
-    per-packet (due, bits, kind, payload) items of one flow, one batch per
-    source in attach order, sorted by due (stable, so a tie keeps the
-    attach order), then one (due, bits, kind, payload, count) record per
-    packet that carries a payload and one per stretch of equal
-    payload-free packets."""
+    """The records a FIFO should hold for per-packet (due, bits, kind,
+    payload) items of one flow, one batch per tick and source in attach
+    order: the items sorted by due (stable, so a tie keeps the attach
+    order), then one (due, bits, kind, payload, count) record per packet
+    that carries a payload and one per stretch of equal payload-free
+    packets."""
     items = sorted(itertools.chain(*batches), key=lambda x: x[0])
     records = []
     i, n = 0, len(items)
@@ -491,11 +493,13 @@ class TestSourceRuns:
                 assert_same_packets(cam.emit_until(end), ref.emit_until(end))
             assert cam.next_due == ref.next_due()
 
-    @given(st.floats(1.0, 5_000.0), st.booleans(),
+    @given(st.floats(1.0, 5_000.0),
            st.lists(st.floats(0.0, 5.0), max_size=50))
     @settings(max_examples=60, deadline=None)
-    def test_periodic_matches_closed_form(self, hz, stamped, spans):
-        payload_fn = (lambda due: ("state", due)) if stamped else None
+    def test_periodic_matches_closed_form(self, hz, spans):
+        def payload_fn(due):
+            return ("state", due)
+
         src = PeriodicSource(hz, 12_000, payload_fn)
         ref = ClosedFormStream(0.0, 1000.0 / hz, math.inf, 12_000,
                                CONTROL_STATE, payload_fn)
@@ -519,92 +523,106 @@ class TestSourceRuns:
             assert src.next_due == ref.next_due()
 
 
-def recorded_enqueues():
-    """Patch `QosFlow.enqueue` to log (flow id, created_at, bits, kind,
-    payload, count) for every record; returns the patch and the log."""
-    log = []
-    real = QosFlow.enqueue
+# a link that never schedules, so that a flow's FIFO keeps every record
+HELD = [(0.0, math.inf)]
 
-    def logged(flow, packet, cap=None):
-        log.append((flow.id, packet.created_at, packet.bits, packet.kind,
-                    packet.payload, packet.count))
-        return real(flow, packet, cap)
 
-    return mock.patch.object(QosFlow, "enqueue", logged), log
+def fifo_records(flow):
+    return [(p.created_at, p.bits, p.kind, p.payload, p.count)
+            for p in flow.buffer]
 
 
 class TestMergeOrder:
-    """Several sources on one flow: the cell enqueues the records that
-    sorting the tick's packets by due and regrouping them gave, with a tie
-    to the source attached first."""
+    """Several sources on one flow: the flow's FIFO holds the records that
+    sorting the packets by due and regrouping them gives, with a tie to
+    the source attached first."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_scripted_ties_match_sort_and_regroup(self, seed):
         rng = random.Random(seed)
-        cell = CellModel(UL, DL)
+        cell = CellModel(UL, DL, outages=HELD)
         flow = cell.add_flow(UPLINK, 1.0)
         sources = [ScriptedSource() for _ in range(rng.choice([2, 3]))]
         for src in sources:
             cell.attach_source(src, flow)
-        patch, log = recorded_enqueues()
-        with patch:
-            for _ in range(60):
-                batches = []
-                for src in sources:
-                    # dues on a coarse grid, so that sources tie often
-                    dues = sorted(cell.clock + 0.125 * rng.randint(0, 3)
-                                  for _ in range(rng.randint(0, 4)))
-                    batch = []
-                    for due in dues:
-                        bits = rng.choice([12_000, 4_000])
-                        kind = rng.choice([CAMERA, BACKGROUND])
-                        payload = rng.choice([None, None, (due, bits)])
-                        count = 1 if payload else rng.randint(1, 3)
-                        runs = src.next
-                        if payload is None and runs and \
-                                runs[-1][1:4] == (bits, kind, None):
-                            # a source's runs are maximal: the run goes on
-                            due = runs[-1][0]
-                            runs[-1] = (*runs[-1][:4], runs[-1][4] + count)
-                        else:
-                            runs.append((due, bits, kind, payload, count))
-                        batch += [(due, bits, kind, payload)] * count
-                    batches.append(batch)
-                del log[:]
-                cell.step()
-                assert [rec[1:] for rec in log] == sort_and_regroup(batches)
+        batches = []
+        for _ in range(60):
+            for src in sources:
+                # dues on a coarse grid, so that sources tie often
+                dues = sorted(cell.clock + 0.125 * rng.randint(0, 3)
+                              for _ in range(rng.randint(0, 4)))
+                batch = []
+                for due in dues:
+                    bits = rng.choice([12_000, 4_000])
+                    kind = rng.choice([CAMERA, BACKGROUND])
+                    payload = rng.choice([None, None, (due, bits)])
+                    count = 1 if payload else rng.randint(1, 3)
+                    runs = src.next
+                    if payload is None and runs and \
+                            runs[-1][1:4] == (bits, kind, None):
+                        # a source's runs are maximal: the run goes on
+                        due = runs[-1][0]
+                        runs[-1] = (*runs[-1][:4], runs[-1][4] + count)
+                    else:
+                        runs.append((due, bits, kind, payload, count))
+                    batch += [(due, bits, kind, payload)] * count
+                batches.append(batch)
+            cell.step()
+            assert fifo_records(flow) == sort_and_regroup(batches)
 
     def test_engine_sources_match_sort_and_regroup(self):
-        # a stamped 100 Hz control stream, a camera, and a second control
-        # stream at 50 Hz that carries nothing and ties the first every
-        # 20 ms
+        # a stamped 100 Hz control stream, a camera, and a paced stream of
+        # 4 000-bit packets every 20 ms that carries nothing and ties the
+        # control stream at each of its packets
         def stamp(due):
             return ("state", due)
 
-        cell = CellModel(UL, DL)
+        cell = CellModel(UL, DL, outages=HELD)
         flow = cell.add_flow(UPLINK, 1.0)
         pairs = [(PeriodicSource(100.0, 12_000, stamp),
                   ClosedFormStream(0.0, 10.0, math.inf, 12_000,
                                    CONTROL_STATE, stamp)),
                  (FrameSource(45.8e6, 30.0),
                   ClosedFormCamera(45.8e6, 30.0, 12_000)),
-                 (PeriodicSource(50.0, 4_000),
+                 (PacedSource(200_000.0, (0.0, math.inf), 4_000),
                   ClosedFormStream(0.0, 20.0, math.inf, 4_000,
-                                   CONTROL_STATE))]
+                                   BACKGROUND))]
         for src, _ in pairs:
             cell.attach_source(src, flow)
-        patch, log = recorded_enqueues()
         ties = 0
-        with patch:
-            for k in range(1, 2001):
-                batches = [ref.emit_until(k * UL.tti_ms) for _, ref in pairs]
-                dues = [item[0] for batch in batches for item in batch]
-                ties += len(dues) - len(set(dues))
-                del log[:]
-                cell.step()
-                assert [rec[1:] for rec in log] == sort_and_regroup(batches)
+        batches = []
+        for k in range(1, 2001):
+            tick = [ref.emit_until(k * UL.tti_ms) for _, ref in pairs]
+            dues = [item[0] for batch in tick for item in batch]
+            ties += len(dues) - len(set(dues))
+            batches += tick
+            cell.step()
+        assert fifo_records(flow) == sort_and_regroup(batches)
         assert ties >= 50
+
+    def test_payload_free_sources_share_fifo_records(self):
+        # two background streams of one packet size, which tie every
+        # 12 ms, and a stamped control stream that breaks their runs
+        cell = CellModel(UL, DL, outages=HELD)
+        flow = cell.add_flow(UPLINK, 1.0)
+        pairs = [(PacedSource(rate, (0.0, math.inf)),
+                  ClosedFormStream(0.0, 12_000 / rate * 1000.0, math.inf,
+                                   12_000, BACKGROUND))
+                 for rate in (3e6, 2e6)]
+        pairs.append((stamped_control(),
+                      ClosedFormStream(0.0, 10.0, math.inf, 12_000,
+                                       CONTROL_STATE, lambda due: due)))
+        for src, _ in pairs:
+            cell.attach_source(src, flow)
+        batches = []
+        for k in range(1, 401):
+            batches += [ref.emit_until(k * UL.tti_ms) for _, ref in pairs]
+            cell.step()
+        records = fifo_records(flow)
+        assert records == sort_and_regroup(batches)
+        # the first record holds the packets both streams have at 0 ms
+        assert records[0] == (0.0, 12_000, BACKGROUND, None, 2)
 
     def test_source_without_progress_raises(self):
         class Stuck:
@@ -622,7 +640,7 @@ class TestMergeOrder:
 
         cell = CellModel(UL, DL)
         flow = cell.add_flow(UPLINK, 1.0)
-        cell.attach_source(PeriodicSource(100.0, 12_000), flow)
+        cell.attach_source(stamped_control(), flow)
         cell.attach_source(Stuck(), flow)
         with pytest.raises(SimulationContractError, match="Stuck"):
             cell.step()
@@ -686,8 +704,7 @@ class TestRunLengthFifo:
         slopes = [rng.choice([1.0, 2.0, 8.0]) for _ in range(2)]
         link = LinkConfig(capacity, 0.5, 1.5, buffer_cap_bits=cap)
         cell = CellModel(link, DL, jitter_ms=jitter,
-                         jitter_rng=np.random.default_rng(seed)
-                         if jitter else None)
+                         jitter_rng=np.random.default_rng(seed))
         flows = [cell.add_flow(UPLINK, s) for s in slopes]
         ref = ReferenceLink(link, slopes, jitter,
                             np.random.default_rng(seed))

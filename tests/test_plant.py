@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import uavqos.engine
 from conftest import raw_scenario
-from uavqos.engine import run
+from uavqos.engine import Simulation, run
 from uavqos.plant import (
     ControllerConfig,
     PlantState,
@@ -14,26 +15,26 @@ from uavqos.plant import (
     plant_step,
 )
 from uavqos.scenario import parse_config
+from uavqos.scheduler import COMMAND, CONTROL_STATE
 
 CFG = ControllerConfig()
 
 
 class TestControllerTick:
     def test_zero_at_equilibrium(self):
-        s = PlantState(position=np.ones(3), velocity=np.zeros(3),
-                       reference=np.ones(3))
-        assert np.allclose(controller_tick(s, CFG), 0.0)
+        v = np.array([0.1, -0.2, 0.0])
+        assert np.allclose(controller_tick(np.ones(3), v, np.ones(3), v, CFG),
+                           0.0)
 
     def test_pd_on_offset(self):
-        s = PlantState(position=np.zeros(3), velocity=np.zeros(3),
-                       reference=np.array([0.5, 0.0, 0.0]))
-        assert np.allclose(controller_tick(s, CFG),
-                           [CFG.kp * 0.5, 0.0, 0.0])
+        cmd = controller_tick(np.zeros(3), np.zeros(3),
+                              np.array([0.5, 0.0, 0.0]),
+                              np.array([0.0, 0.2, 0.0]), CFG)
+        assert np.allclose(cmd, [CFG.kp * 0.5, CFG.kd * 0.2, 0.0])
 
     def test_clamped_to_command_limit(self):
-        s = PlantState(position=np.zeros(3), velocity=np.zeros(3),
-                       reference=np.array([100.0, 0.0, 0.0]))
-        cmd = controller_tick(s, CFG)
+        cmd = controller_tick(np.zeros(3), np.zeros(3),
+                              np.array([100.0, 0.0, 0.0]), np.zeros(3), CFG)
         assert np.linalg.norm(cmd) == pytest.approx(CFG.command_limit)
 
     def test_clamp_survives_norm_overflow(self):
@@ -47,8 +48,52 @@ class TestControllerTick:
         cmd = np.array([1e200, 0.0, 0.0])
         assert _clamp(cmd, 1e300) is cmd
 
-    def test_holds_before_first_state(self):
-        assert np.allclose(controller_tick(None, CFG), 0.0)
+    def test_holds_before_first_state(self, monkeypatch):
+        # 200 ms each way: the first state reaches the edge after 200 ms,
+        # its command comes back after 400 ms; until then the plant runs
+        # on a zero command, and the controller only on states that came
+        raw = raw_scenario("no_qos_no_bg")
+        raw["duration_ms"] = 1_000.0
+        raw["uplink"]["base_delay_ms"] = 200.0
+        raw["downlink"]["base_delay_ms"] = 200.0
+        sim = Simulation(parse_config(raw))
+        first_state = []
+        first_command = []
+        real_step = sim.cell.step
+
+        def step():
+            delivered = real_step()
+            for arrival, pkt in delivered:
+                if pkt.kind == CONTROL_STATE and not first_state:
+                    first_state.append(arrival)
+                if pkt.kind == COMMAND and not first_command:
+                    first_command.append(arrival)
+            return delivered
+
+        controller_at = []
+        real_tick = uavqos.engine.controller_tick
+
+        def tick(*args):
+            controller_at.append(sim.cell.clock)
+            return real_tick(*args)
+
+        commands = []
+        real_plant_step = uavqos.engine.plant_step
+
+        def plant(state, cmd, dt_ms):
+            commands.append((sim.cell.clock, cmd.copy()))
+            return real_plant_step(state, cmd, dt_ms)
+
+        monkeypatch.setattr(sim.cell, "step", step)
+        monkeypatch.setattr(uavqos.engine, "controller_tick", tick)
+        monkeypatch.setattr(uavqos.engine, "plant_step", plant)
+        sim.run()
+        assert 400.0 < first_command[0] < 1_000.0
+        assert controller_at and min(controller_at) > first_state[0]
+        before = [cmd for t, cmd in commands if t <= first_command[0]]
+        after = [cmd for t, cmd in commands if t > first_command[0]]
+        assert len(before) >= 40 and not np.any(before)
+        assert any(np.any(cmd) for cmd in after)
 
 
 class TestPlantStep:

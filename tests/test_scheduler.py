@@ -261,14 +261,14 @@ class TestInvariants:
         import random
         rng = random.Random(seed)
         cap = 200_000 if rng.random() < 0.5 else None
-        flows = [QosFlow(i, UPLINK, rng.choice([1.0, 2.0, 8.0]))
+        flows = [QosFlow(i, UPLINK, rng.choice([1.0, 2.0, 8.0]), cap)
                  for i in range(3)]
         for k in range(400):
             now = k * UL.tti_ms
             for f in flows:
                 if rng.random() < 0.4:
                     f.enqueue(f.make_packet(rng.randint(500, 50_000), now,
-                                            BACKGROUND), buffer_cap_bits=cap)
+                                            BACKGROUND))
             schedule_tti(UL, flows, now)
             for f in flows:
                 assert f.enqueued_bits == pytest.approx(
@@ -297,9 +297,20 @@ class TestInvariants:
         assert seen == sorted(seen) and seen[-1] > seen[0]
 
     def test_tail_drop_at_cap(self):
-        f = QosFlow(0, UPLINK)
-        assert f.enqueue(f.make_packet(9_000, 0.0, CAMERA), 10_000)
-        assert not f.enqueue(f.make_packet(9_000, 0.0, CAMERA), 10_000)
+        f = QosFlow(0, UPLINK, buffer_cap_bits=10_000)
+        assert f.enqueue(f.make_packet(9_000, 0.0, CAMERA))
+        assert not f.enqueue(f.make_packet(9_000, 0.0, CAMERA))
         assert f.dropped_bits == 9_000
         assert f.buffered_bits == 9_000
+
+    def test_flush_of_partly_sent_head(self):
+        # one TTI sends 40 650 bits of a 100 000-bit packet; those count
+        # as delivered once, and the flush drops the other 59 350
+        f = QosFlow(0, UPLINK)
+        f.enqueue(f.make_packet(100_000, 0.0, CAMERA))
+        schedule_tti(UL, [f], 0.0)
+        assert f.flush() == 59_350
+        assert (f.delivered_bits, f.dropped_bits, f.buffered_bits,
+                f.head_served_bits) == (40_650, 59_350, 0.0, 0.0)
+        assert not f.buffer
 
