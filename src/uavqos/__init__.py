@@ -8,8 +8,8 @@ from .engine import RunSummary, Simulation, TraceRecord, run
 from .fsm import ActionCommand, QosSupervisor, SignalSet, emit_signals, \
     rate_adapt_step, transition
 from .output import emit
-from .plant import CircularReference, ControllerConfig, PlantState, \
-    controller_tick, onboard_fallback_tick, plant_step
+from .plant import CircularReference, ControllerConfig, controller_tick, \
+    onboard_fallback_tick, plant_step
 from .scenario import ConfigError, ScenarioConfig, builtin_config_path, \
     load_config, parse_config
 from .scheduler import LinkConfig, Packet, QosFlow, schedule_tti, \

@@ -8,7 +8,6 @@ the evaluation period. A run is a pure function of (config, seed).
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from collections import Counter, deque
@@ -35,7 +34,6 @@ from .fsm import (
 )
 from .plant import (
     CircularReference,
-    PlantState,
     controller_tick,
     onboard_fallback_tick,
     plant_step,
@@ -145,9 +143,9 @@ class Simulation:
         self.reference = CircularReference(pc.circle_radius_m,
                                            pc.circle_period_s,
                                            pc.circle_altitude_m)
-        self.plant = PlantState(position=self.reference.position(0.0),
-                                velocity=self.reference.velocity(0.0),
-                                reference=self.reference.position(0.0))
+        self.position = self.reference.position(0.0)
+        self.velocity = self.reference.velocity(0.0)
+        self.tracking_error = 0.0
 
         # latest per-frame camera delays and control round trips
         self.cam_window: deque[float] = deque(maxlen=pf.cam_window)
@@ -158,8 +156,7 @@ class Simulation:
             self.supervisor = QosSupervisor(pf.hl_persist_evals,
                                             pf.escalation_grace_evals)
 
-        # runtime state
-        self.offloaded = True
+        # runtime state; a hold point exists only under onboard autonomy
         self.hold_point: Optional[np.ndarray] = None
         self.edge_state: Optional[tuple] = None
         self.edge_cmd = np.zeros(3)
@@ -179,7 +176,7 @@ class Simulation:
     # -- callbacks -----------------------------------------------------
 
     def _state_snapshot(self, _due_ms):
-        return (self.plant.position, self.plant.velocity)
+        return (self.position, self.velocity)
 
     # -- per-phase helpers ----------------------------------------------
 
@@ -199,31 +196,16 @@ class Simulation:
             else self.cfg.pfsm.default_slope
         set_priority(self.uav_flow, want)
 
-    def _enter_autonomy(self, t_ms):
-        self.offloaded = False
-        self.hold_point = self.plant.position.copy()
-        if self.camera is not None:
-            self.camera.set_active(False, t_ms)
-        self.uav_flow.flush()
-
-    def _exit_autonomy(self, t_ms):
-        self.offloaded = True
-        self.hold_point = None
-        if self.camera is not None:
-            self.camera.set_active(True, t_ms)
-
     def _run_rate_adaptation(self, adapting: bool, low_latency: bool, t_ms):
         """Step the camera rate down while adapting, or back up while the
         latency is low, at most once per adaptation period; the first step
         after the direction flips is taken at once."""
-        if self.camera is None:
-            return
         if adapting != self.rate_adapting:
             self.rate_adapting = adapting
             self.next_rate_step_ms = t_ms
         pf = self.cfg.pfsm
         nominal = self.cfg.camera.rate_bps
-        recover = low_latency and self.offloaded and \
+        recover = low_latency and self.hold_point is None and \
             self.cam_rate_req < nominal
         if t_ms < self.next_rate_step_ms or not (adapting or recover):
             return
@@ -267,21 +249,24 @@ class Simulation:
             t = k * tti
 
             if k and k % plant_every == 0 and self.diverged_at is None:
-                last = copy.copy(self.plant)
-                if self.offloaded:
-                    self.plant.reference = self.reference.position(t)
+                if self.hold_point is None:
+                    ref = self.reference.position(t)
                     cmd = self.applied_cmd
                 else:
-                    self.plant.reference = self.hold_point
-                    cmd = onboard_fallback_tick(self.plant, cfg.plant)
-                plant_step(self.plant, cmd, cfg.plant.plant_dt_ms)
-                if not math.isfinite(self.plant.tracking_error):
-                    self.plant = last       # hold the last finite state
+                    ref = self.hold_point
+                    cmd = onboard_fallback_tick(self.position, self.velocity,
+                                                ref, cfg.plant)
+                pos, vel = plant_step(self.position, self.velocity, cmd,
+                                      cfg.plant.plant_dt_ms)
+                error = float(np.linalg.norm(pos - ref))
+                if math.isfinite(error):
+                    self.position, self.velocity = pos, vel
+                    self.tracking_error = error
+                else:                   # hold the last finite state
                     self.diverged_at = t
                 self.max_tracking_error = max(self.max_tracking_error,
-                                              self.plant.tracking_error)
-                if self.plant.tracking_error > \
-                        cfg.plant.divergence_threshold_m:
+                                              self.tracking_error)
+                if self.tracking_error > cfg.plant.divergence_threshold_m:
                     self.diverged_at = t
 
             if k % ctrl_every == 0 and self.edge_state is not None:
@@ -339,7 +324,7 @@ class Simulation:
                     s_k=self.risk_s if self.risk_s is not None else 0.0,
                     P_lat=self.p_lat,
                     P_cs=self.p_cs,
-                    tracking_error=self.plant.tracking_error,
+                    tracking_error=self.tracking_error,
                 ))
                 reported_uav, reported_bg = uav_bits, bg_bits
                 interval_rtt_sum, interval_rtt_n = 0.0, 0
@@ -368,15 +353,17 @@ class Simulation:
         if self.supervisor is None:
             return
 
-        at_floor = self.camera is not None and \
-            self.cam_rate_req <= pf.rate_floor_bps
-        was_offloaded = self.offloaded
-        event = self.supervisor.evaluate(self.signals, at_rate_floor=at_floor)
+        event = self.supervisor.evaluate(
+            self.signals, at_rate_floor=self.cam_rate_req <= pf.rate_floor_bps)
         self._apply_qos(event.action.qos_enabled)
-        if was_offloaded and not event.action.offload:
-            self._enter_autonomy(t)
-        elif not was_offloaded and event.action.offload:
-            self._exit_autonomy(t)
+        offload = event.action.offload
+        if offload == (self.hold_point is not None):    # the mode flips
+            self.camera.set_active(offload, t)
+            if offload:
+                self.hold_point = None
+            else:
+                self.hold_point = self.position
+                self.uav_flow.flush()
         self._run_rate_adaptation(event.action.rate_adaptation,
                                   self.signals.latency == LOW_LATENCY, t)
 

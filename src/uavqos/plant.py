@@ -4,14 +4,16 @@ A double integrator per axis under a PD position controller stands in for
 the offloaded optimizer: the controller only ever sees the state as it was
 one uplink delay ago and its commands land one downlink delay later, so
 round-trip latency maps directly onto tracking error and, past a margin,
-onto divergence. A second, undelayed PD loop models the onboard fallback
-that holds position when offloading is abandoned.
+onto divergence. There is one PD law: the onboard fallback that holds
+position when offloading is abandoned is that law, undelayed, aimed at the
+hold waypoint with zero reference velocity. The plant state is a pair of
+arrays, (position, velocity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,21 +34,6 @@ class ControllerConfig:
         for f in fields(self):
             if not getattr(self, f.name) > 0:
                 raise ValueError(f"{f.name} must be positive")
-
-
-@dataclass
-class PlantState:
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    reference: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    tracking_error: float = 0.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        self.reference = np.asarray(self.reference, dtype=float)
-        self.tracking_error = float(
-            np.linalg.norm(self.position - self.reference))
 
 
 def _clamp(command: np.ndarray, limit: float) -> np.ndarray:
@@ -74,23 +61,24 @@ def controller_tick(position: np.ndarray, velocity: np.ndarray,
     return _clamp(cmd, config.command_limit)
 
 
-def onboard_fallback_tick(state: PlantState,
+_AT_REST = np.zeros(3)
+
+
+def onboard_fallback_tick(position: np.ndarray, velocity: np.ndarray,
+                          hold: np.ndarray,
                           config: ControllerConfig) -> np.ndarray:
-    """Undelayed PD toward the hold waypoint carried in state.reference."""
-    err = state.reference - state.position
-    cmd = config.kp * err - config.kd * state.velocity
-    return _clamp(cmd, config.command_limit)
+    """Undelayed PD toward the hold waypoint, which stays put."""
+    return controller_tick(position, velocity, hold, _AT_REST, config)
 
 
-def plant_step(state: PlantState, command: np.ndarray,
-               dt_ms: float) -> PlantState:
-    """Semi-implicit Euler update of the double integrator."""
+def plant_step(position: np.ndarray, velocity: np.ndarray,
+               command: np.ndarray,
+               dt_ms: float) -> tuple[np.ndarray, np.ndarray]:
+    """Semi-implicit Euler update of the double integrator: the new
+    (position, velocity)."""
     dt = dt_ms / 1000.0
-    state.velocity = state.velocity + command * dt
-    state.position = state.position + state.velocity * dt
-    state.tracking_error = float(
-        np.linalg.norm(state.position - state.reference))
-    return state
+    velocity = velocity + command * dt
+    return position + velocity * dt, velocity
 
 
 class CircularReference:

@@ -218,6 +218,11 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
     if cfg.qos == "dynamic" and pf.rate_floor_bps > cam.rate_bps:
         raise ConfigError(f"{label}.pfsm.rate_floor_bps: must not exceed "
                           f"the camera rate_bps {cam.rate_bps}")
+    # the camera clamps each adapted rate up to its own floor
+    if cfg.qos == "dynamic" and cam.floor_bps > cam.rate_bps:
+        raise ConfigError(f"{label}.uav_sources"
+                          f"[{cfg.uav_sources.index(cam)}].floor_bps: must "
+                          f"not exceed the camera rate_bps {cam.rate_bps}")
 
 
 def _offered_bits(src: SourceConfig, span_ms: float) -> float:
@@ -275,7 +280,8 @@ def _build(cls, data, path: str):
     schema = _schema(cls)
     unknown = set(data) - set(schema)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys "
+                          f"{sorted(unknown, key=str)}")
     kwargs = {}
     for name, (f, tp) in schema.items():
         key = f"{path}.{name}"
@@ -323,6 +329,8 @@ def _value(tp, value, path: str):
         raise ConfigError(f"{path}: must be finite, got {value}")
     if tp is int and not abs(value) < 2 ** 63:
         raise ConfigError(f"{path}: must fit in 64 bits, got {value}")
+    if tp is int and value != int(value):
+        raise ConfigError(f"{path}: must be a whole number, got {value}")
     return tp(value)
 
 

@@ -17,7 +17,7 @@ from conftest import TaggedCamera, head_of_line_delay, make_config, \
     raw_scenario
 from test_scheduler import grant_tti, oracle_winner_sequence, run_backlogged
 from uavqos.cell import CellModel, PacedSource, PeriodicSource
-from uavqos.engine import run
+from uavqos.engine import Simulation, run
 from uavqos.fsm import (
     HIGH_LATENCY,
     Q1,
@@ -76,14 +76,20 @@ def dynamic_run():
     return run(make_config("dynamic_qos_bg"))
 
 
-@pytest.fixture(scope="module")
-def outage_run():
+def outage_config():
+    """45 s of bundled dynamic_qos_bg without background at 10 m, with the
+    link down from 30 to 35 s."""
     raw = raw_scenario("dynamic_qos_bg")
     raw["duration_ms"] = 45_000.0
     del raw["background"]
     raw["environment"] = [{"spaciousness_m": 10.0}]
     raw["link_outages_ms"] = [[30_000.0, 35_000.0]]
-    return run(parse_config(raw))
+    return parse_config(raw)
+
+
+@pytest.fixture(scope="module")
+def outage_run():
+    return run(outage_config())
 
 
 def short_priority_run(edit):
@@ -121,6 +127,18 @@ def noisy_risk_run():
     return run(parse_config(raw))
 
 
+@pytest.fixture(scope="module")
+def non_finite_run():
+    """2 s of bundled no_qos_no_bg with gains and a clamp so large that the
+    plant state turns non-finite, at 70 ms; the run keeps the last finite
+    state."""
+    raw = raw_scenario("no_qos_no_bg")
+    raw["duration_ms"] = 2_000.0
+    raw["plant"] = {"kp": 1e308, "command_limit": 1e308,
+                    "circle_radius_m": 10.0}
+    return run(parse_config(raw))
+
+
 # sha256 of the trace.csv and summary.json bytes `emit` writes for each run
 OUTPUT_DIGESTS = {
     "baseline_run": (
@@ -147,6 +165,9 @@ OUTPUT_DIGESTS = {
     "noisy_risk_run": (
         "9436a900f80753a02b2310e36762ff7a98d5d727dad47e533f36eda823ed677c",
         "8fd227b9e77b2e3312b04cc446606b2a857b0c1f875ff15e28715b6af925a9a6"),
+    "non_finite_run": (
+        "5f9ccc7c807cdbb8648c2a1019e2ac1b0dcdd541e2e8c39379e43c8df2dc20c3",
+        "b72f559bbc686a0accb179f8f66247bf5c011250bf5188f67d4fa24bb2b81226"),
 }
 
 
@@ -391,3 +412,22 @@ def test_criterion_8_fallback(outage_run):
     print(f"\nACCEPTANCE 8 PASS: qA at {t_enter:.0f} ms, hold error "
           f"<0.05 m within 5 s, back to q1 at {t_back:.0f} ms with "
           f"offloaded control resumed")
+
+
+def test_hold_point_marks_autonomy():
+    # after every evaluation of the outage run: a hold point exists exactly
+    # in qA, and exactly then the camera is off (no frame due)
+    sim = Simulation(outage_config())
+    evaluate = sim._evaluate
+    in_qa = []
+
+    def checked(t):
+        evaluate(t)
+        autonomous = sim.supervisor.state == QA
+        assert (sim.hold_point is not None) == autonomous
+        assert math.isfinite(sim.camera.next_due) != autonomous
+        in_qa.append(autonomous)
+
+    sim._evaluate = checked
+    sim.run()
+    assert len(in_qa) == 450 and 0 < sum(in_qa) < 450

@@ -126,7 +126,7 @@ class TestLoadConfig:
         ("no_qos_no_bg", ("uav_sources", 0, "rate_bps"), 10.0,
          r"uav_sources\[0\]: .* rounds to 0 bits"),
         ("dynamic_qos_bg", ("pfsm", "cam_window"), 0.5,
-         r"pfsm\.cam_window: must be positive"),
+         r"pfsm\.cam_window: must be a whole number, got 0\.5"),
         ("dynamic_qos_bg", ("pfsm", "cam_sigmoid", "steepness"), 0.0,
          r"pfsm\.cam_sigmoid: steepness must be positive"),
         ("dynamic_qos_bg", ("plant", "kp"), -1.0,
@@ -197,12 +197,37 @@ class TestLoadConfig:
          r"1\.2e\+16 bits over the run, which must stay below 2\*\*53"),
         ("no_qos_no_bg", ("command_packet_bits",), 2 ** 50,
          r"\.command_packet_bits: the flow's sources offer up to"),
+        ("dynamic_qos_bg", ("pfsm", "cam_window"), 0,
+         r"pfsm\.cam_window: must be positive"),
+        ("no_qos_no_bg", ("plant",), {1: "a", "zzz": "b"},
+         r"\.plant: unknown keys \[1, 'zzz'\]"),
+        ("dynamic_qos_bg", ("uav_sources", 0, "floor_bps"), 60e6,
+         r"uav_sources\[0\]\.floor_bps: must not exceed the camera "
+         r"rate_bps 45800000\.0"),
     ])
     def test_rejection_carries_key_path(self, name, path, value, message):
         raw = raw_scenario(name)
         set_leaf(raw, path, value)
         with pytest.raises(ConfigError, match=message):
             parse_config(raw)
+
+    @pytest.mark.parametrize("path, value, key", [
+        (("pfsm", "cam_window"), 10.7, r"pfsm\.cam_window"),
+        (("uav_sources", 1, "packet_bits"), 11999.5,
+         r"uav_sources\[1\]\.packet_bits"),
+        (("seed",), 1.9, r"\.seed"),
+    ])
+    def test_int_key_takes_only_whole_numbers(self, path, value, key):
+        raw = raw_scenario("dynamic_qos_bg")
+        set_leaf(raw, path, value)
+        with pytest.raises(ConfigError,
+                           match=f"{key}: must be a whole number, got "):
+            parse_config(raw)
+        set_leaf(raw, path, float(int(value)))     # an integral float
+        node = parse_config(raw)
+        for k in path:
+            node = node[k] if isinstance(k, int) else getattr(node, k)
+        assert type(node) is int and node == int(value)
 
     def test_omitted_until_ms_means_forever(self):
         cfg = load_config(builtin_config_path("dynamic_qos_bg"))
