@@ -27,6 +27,7 @@ from .fsm import (
     LOW_LATENCY,
     Q1,
     Q3,
+    STOCHASTIC,
     QosSupervisor,
     SignalSet,
     emit_signals,
@@ -104,8 +105,16 @@ class RunSummary:
 class Simulation:
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
-        root = np.random.default_rng(config.seed)
-        self.rng_env, self.rng_pfsm, self.rng_jitter = root.spawn(3)
+        # stream i is default_rng(seed).spawn(3)[i], built only when the
+        # run draws from it, so a draw-free run never imports numpy.random
+        draws = (any(seg.noise_std > 0 for seg in config.environment),
+                 config.pfsm.mode == STOCHASTIC,
+                 config.jitter_ms > 0)
+        self.rng_env, self.rng_pfsm, self.rng_jitter = (
+            np.random.default_rng(
+                np.random.SeedSequence(config.seed, spawn_key=(i,)))
+            if draws_i else None
+            for i, draws_i in enumerate(draws))
 
         self.cell = CellModel(config.uplink, config.downlink,
                               jitter_ms=config.jitter_ms,

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .sensing import HIGH_RISK, LOW_RISK, MIDDLE_RISK
 
 Q1, Q2, Q3, Q4, Q5, Q6, QA = "q1", "q2", "q3", "q4", "q5", "q6", "qA"
@@ -184,12 +182,12 @@ def transition(current: str, signals: SignalSet, *,
 
 def emit_signals(p_lat: float, risk_level: str, link_ok: bool,
                  th_lat: float, mode: str = DETERMINISTIC,
-                 rng: Optional[np.random.Generator] = None) -> SignalSet:
+                 rng=None) -> SignalSet:
     """Derive the transition signals from the latency probability.
 
     Deterministic mode thresholds the latency probability; stochastic mode
-    asserts HL with probability p_lat through a seeded draw. The risk flag
-    always comes from the band classification.
+    asserts HL with probability p_lat through a draw from `rng`, a numpy
+    Generator. The risk flag always comes from the band classification.
     """
     if not 0.0 <= p_lat <= 1.0:
         raise ValueError("latency probability must lie in [0, 1]")

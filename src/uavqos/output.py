@@ -46,7 +46,8 @@ def emit(traces: list[TraceRecord], summary: RunSummary,
 
     trace, summ = out / TRACE_FILENAME, out / SUMMARY_FILENAME
     try:
-        trace.write_text("\n".join(trace_csv_lines(traces)) + "\n")
+        with trace.open("w") as fh:
+            fh.writelines(line + "\n" for line in trace_csv_lines(traces))
         summ.write_text(summary_json(summary))
     except OSError as exc:
         raise OSError(f"failed writing under {out}: {exc}") from exc

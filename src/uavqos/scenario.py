@@ -228,11 +228,12 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
 def _offered_bits(src: SourceConfig, span_ms: float) -> float:
     """An upper bound on the bits `src` emits in `span_ms`: one more than
     the packets (a camera: frames) that start in it, each of the largest
-    size the source can reach."""
+    size the source can reach. Rate adaptation never lifts a camera above
+    its `rate_bps`: it runs only under `qos: dynamic`, where the floor may
+    not exceed that rate."""
     if src.kind == CBR_FRAMES:
-        peak = max(src.rate_bps, src.floor_bps)
         return (span_ms * src.frame_hz / 1000.0 + 1.0) * \
-            (peak / src.frame_hz + 0.5)
+            (src.rate_bps / src.frame_hz + 0.5)
     return (span_ms * src.rate_bps / src.packet_bits / 1000.0 + 1.0) * \
         src.packet_bits
 
@@ -244,9 +245,7 @@ def _check_offered_bits(cfg: ScenarioConfig, label: str):
     the command flow one command per control packet."""
     uav = {}
     for i, src in enumerate(cfg.uav_sources):
-        key = "floor_bps" if src.kind == CBR_FRAMES and \
-            src.floor_bps > src.rate_bps else "rate_bps"
-        uav[f"uav_sources[{i}].{key}"] = _offered_bits(src, cfg.duration_ms)
+        uav[f"uav_sources[{i}].rate_bps"] = _offered_bits(src, cfg.duration_ms)
     ctrl = cfg.control
     commands = _offered_bits(ctrl, cfg.duration_ms) / ctrl.packet_bits
     flows = [uav, {"command_packet_bits": commands * cfg.command_packet_bits}]

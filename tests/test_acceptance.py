@@ -29,7 +29,7 @@ from uavqos.fsm import (
     emit_signals,
     transition,
 )
-from uavqos.output import summary_json, trace_csv_lines
+from uavqos.output import emit, summary_json, trace_csv_lines
 from uavqos.scenario import PfsmConfig, parse_config
 from uavqos.scheduler import (
     BACKGROUND,
@@ -139,6 +139,18 @@ def non_finite_run():
     return run(parse_config(raw))
 
 
+@pytest.fixture(scope="module")
+def three_stream_run():
+    """30 s of bundled dynamic_qos_bg that draws from all three random
+    streams: noisy ranges at 4 m, stochastic signals and 0.3 ms jitter."""
+    raw = raw_scenario("dynamic_qos_bg")
+    raw["duration_ms"] = 30_000.0
+    raw["pfsm"]["mode"] = STOCHASTIC
+    raw["jitter_ms"] = 0.3
+    raw["environment"] = [{"spaciousness_m": 4.0, "noise_std": 0.5}]
+    return run(parse_config(raw))
+
+
 # sha256 of the trace.csv and summary.json bytes `emit` writes for each run
 OUTPUT_DIGESTS = {
     "baseline_run": (
@@ -168,6 +180,9 @@ OUTPUT_DIGESTS = {
     "non_finite_run": (
         "5f9ccc7c807cdbb8648c2a1019e2ac1b0dcdd541e2e8c39379e43c8df2dc20c3",
         "b72f559bbc686a0accb179f8f66247bf5c011250bf5188f67d4fa24bb2b81226"),
+    "three_stream_run": (
+        "511ca213bfe0014f74694e835dc4639978ba93823439df25ee1f6d4aa4c8603c",
+        "4333e3f79282b2ad89083b4decbaa2fc2884e58730b771900aac714f25f1c4e0"),
 }
 
 
@@ -178,6 +193,15 @@ def test_output_digests_pinned(request, fixture):
     got = (hashlib.sha256(trace_bytes).hexdigest(),
            hashlib.sha256(summary_json(summary).encode()).hexdigest())
     assert got == OUTPUT_DIGESTS[fixture]
+
+
+def test_emit_writes_the_pinned_bytes(three_stream_run, tmp_path):
+    traces, summary = three_stream_run
+    emit(traces, summary, tmp_path)
+    assert (tmp_path / "trace.csv").read_bytes() == \
+        ("\n".join(trace_csv_lines(traces)) + "\n").encode()
+    assert (tmp_path / "summary.json").read_bytes() == \
+        summary_json(summary).encode()
 
 
 def steady(traces, t_from, t_to=math.inf):

@@ -192,8 +192,8 @@ class TestLoadConfig:
          r"uav_sources\[1\]\.rate_bps: the flow's sources offer up to inf"),
         ("no_qos_no_bg", ("uav_sources", 0, "rate_bps"), 1e308,
          r"uav_sources\[0\]\.rate_bps: the flow's sources offer up to inf"),
-        ("no_qos_no_bg", ("uav_sources", 0, "floor_bps"), 1e14,
-         r"uav_sources\[0\]\.floor_bps: the flow's sources offer up to "
+        ("no_qos_no_bg", ("uav_sources", 0, "rate_bps"), 1e14,
+         r"uav_sources\[0\]\.rate_bps: the flow's sources offer up to "
          r"1\.2e\+16 bits over the run, which must stay below 2\*\*53"),
         ("no_qos_no_bg", ("command_packet_bits",), 2 ** 50,
          r"\.command_packet_bits: the flow's sources offer up to"),
@@ -210,6 +210,13 @@ class TestLoadConfig:
         set_leaf(raw, path, value)
         with pytest.raises(ConfigError, match=message):
             parse_config(raw)
+
+    def test_camera_floor_does_not_count_as_offered(self):
+        # only rate adaptation lowers the camera toward its floor, and a
+        # floor above the rate is rejected where it runs (qos: dynamic)
+        raw = raw_scenario("no_qos_no_bg")
+        raw["uav_sources"][0]["floor_bps"] = 1e14
+        assert parse_config(raw).camera.rate_bps == 45.8e6
 
     @pytest.mark.parametrize("path, value, key", [
         (("pfsm", "cam_window"), 10.7, r"pfsm\.cam_window"),
@@ -285,6 +292,29 @@ class TestRunAndEmit:
         data = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert data["name"] == "no_qos_no_bg"
         assert data["stability"] == "stable"
+
+    @pytest.mark.parametrize("jitter_ms, drawn", [(0.0, False), (0.3, True)])
+    def test_numpy_random_imported_only_by_runs_that_draw(
+            self, tmp_path, jitter_ms, drawn):
+        # a random stream is built only when the run draws from it
+        script = f"""
+import sys
+sys.path[:0] = {sys.path!r}
+import yaml
+from uavqos import output
+from uavqos.engine import run
+from uavqos.scenario import builtin_config_path, parse_config
+with open(builtin_config_path("no_qos_no_bg")) as fh:
+    raw = yaml.safe_load(fh)
+raw.update(duration_ms=1_000.0, jitter_ms={jitter_ms})
+output.emit(*run(parse_config(raw)), {str(tmp_path)!r})
+print("numpy.random" in sys.modules)
+"""
+        r = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == f"{drawn}\n"
+        assert (tmp_path / "trace.csv").exists()
 
     def test_phase_means_equal_brute_force_recomputation(self):
         cfg = make_config("dynamic_qos_bg", duration_ms=8_000.0)
