@@ -27,11 +27,11 @@ from .scheduler import (
     DOWNLINK,
     PACKET_KINDS,
     UPLINK,
-    LinkConfig,
     Packet,
     QosFlow,
     schedule_tti,
 )
+from .scenario import LinkConfig
 
 
 class SimulationContractError(Exception):
@@ -47,10 +47,8 @@ class FrameSource:
     at the next frame boundary; requests below the floor clamp to it.
     """
 
-    def __init__(self, rate_bps: float, frame_hz: float,
-                 packet_bits: int = 12_000, floor_bps: float = 5e6):
-        if rate_bps <= 0 or frame_hz <= 0 or packet_bits <= 0:
-            raise ValueError("camera source parameters must be positive")
+    def __init__(self, rate_bps: float, frame_hz: float, packet_bits: int,
+                 floor_bps: float):
         self.rate_bps = rate_bps
         self.floor_bps = floor_bps
         self.frame_hz = frame_hz
@@ -131,8 +129,6 @@ class PeriodicSource:
 
     def __init__(self, hz: float, packet_bits: int,
                  payload_fn: Callable[[float], object]):
-        if hz <= 0 or packet_bits <= 0:
-            raise ValueError("periodic source parameters must be positive")
         self.period = 1000.0 / hz
         self.packet_bits = packet_bits
         self.payload_fn = payload_fn
@@ -158,9 +154,7 @@ class PacedSource:
     (background load); the packets due in one call form one run."""
 
     def __init__(self, rate_bps: float, window_ms: tuple[float, float],
-                 packet_bits: int = 12_000):
-        if rate_bps <= 0 or packet_bits <= 0:
-            raise ValueError("background source parameters must be positive")
+                 packet_bits: int):
         self.window = window_ms
         self.packet_bits = packet_bits
         self.spacing = packet_bits / rate_bps * 1000.0

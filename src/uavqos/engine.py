@@ -47,7 +47,6 @@ from .scheduler import (
     CONTROL_STATE,
     DOWNLINK,
     UPLINK,
-    set_priority,
 )
 from .sensing import (
     clutter_prob,
@@ -201,9 +200,10 @@ class Simulation:
         return self.cfg.environment[-1]
 
     def _apply_qos(self, enabled: bool):
-        want = self.cfg.pfsm.qos_slope if enabled \
+        # the accumulated weight is kept; the next TTI grows it by the
+        # new slope
+        self.uav_flow.priority_slope = self.cfg.pfsm.qos_slope if enabled \
             else self.cfg.pfsm.default_slope
-        set_priority(self.uav_flow, want)
 
     def _run_rate_adaptation(self, adapting: bool, low_latency: bool, t_ms):
         """Step the camera rate down while adapting, or back up while the

@@ -31,9 +31,6 @@ LINK_LOST = "LINK_LOST"
 DETERMINISTIC = "deterministic"
 STOCHASTIC = "stochastic"
 
-RISK_FLAGS = (LOW_RISK, MIDDLE_RISK, HIGH_RISK)
-LATENCY_FLAGS = (LOW_LATENCY, HIGH_LATENCY)
-
 # State -> allowed successor set, kept verbatim (q5 deliberately cannot
 # reach q6 even though q4 can).
 SUCCESSORS = {
@@ -67,12 +64,6 @@ class SignalSet:
     risk: str
     link_lost: bool = False
 
-    def __post_init__(self):
-        if self.latency not in LATENCY_FLAGS:
-            raise ValueError(f"latency flag must be one of {LATENCY_FLAGS}")
-        if self.risk not in RISK_FLAGS:
-            raise ValueError(f"risk flag must be one of {RISK_FLAGS}")
-
     @property
     def flags(self) -> frozenset:
         out = {self.latency, self.risk}
@@ -91,10 +82,6 @@ class ActionCommand:
     qos_enabled: bool
     rate_adaptation: bool
     offload: bool
-
-    def __post_init__(self):
-        if self.rate_adaptation and not self.offload:
-            raise ValueError("rate adaptation only applies while offloading")
 
 
 # action column of the state table
@@ -189,29 +176,19 @@ def emit_signals(p_lat: float, risk_level: str, link_ok: bool,
     asserts HL with probability p_lat through a draw from `rng`, a numpy
     Generator. The risk flag always comes from the band classification.
     """
-    if not 0.0 <= p_lat <= 1.0:
-        raise ValueError("latency probability must lie in [0, 1]")
     if mode == STOCHASTIC:
-        if rng is None:
-            raise ValueError("stochastic mode requires a random generator")
         hl = bool(rng.random() < p_lat)
-    elif mode == DETERMINISTIC:
-        hl = p_lat >= th_lat
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        hl = p_lat >= th_lat
     return SignalSet(HIGH_LATENCY if hl else LOW_LATENCY, risk_level,
                      link_lost=not link_ok)
 
 
 def rate_adapt_step(current_rate: float, nominal: float, floor: float,
-                    adapting: bool, factor: float = 0.8) -> float:
+                    adapting: bool, factor: float) -> float:
     """One rate-adaptation period: shrink toward the floor while adapting,
     otherwise recover toward the nominal rate (callers gate recovery on the
     low-latency flag)."""
-    if not 0.0 < factor < 1.0:
-        raise ValueError("adaptation factor must lie in (0, 1)")
-    if not floor <= nominal:
-        raise ValueError("floor must not exceed the nominal rate")
     if adapting:
         return max(current_rate * factor, floor)
     return min(current_rate / factor, nominal)
@@ -235,10 +212,7 @@ class QosSupervisor:
     the caller reports the rate-floor condition.
     """
 
-    def __init__(self, hl_persist_evals: int = 2,
-                 escalation_grace_evals: int = 10):
-        if hl_persist_evals < 1:
-            raise ValueError("persistence must span at least one evaluation")
+    def __init__(self, hl_persist_evals: int, escalation_grace_evals: int):
         self.state = Q1
         self.hl_persist_evals = hl_persist_evals
         self.escalation_grace_evals = escalation_grace_evals

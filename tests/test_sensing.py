@@ -16,13 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_scenario
-from uavqos.scenario import ConfigError, PfsmConfig, parse_config
+from uavqos.scenario import ConfigError, PfsmConfig, SigmoidParams, \
+    parse_config
 from uavqos.sensing import (
     HIGH_RISK,
     LOW_RISK,
     MIDDLE_RISK,
     N_POINTS,
-    SigmoidParams,
     clutter_prob,
     latency_condition,
     risk_update,
@@ -75,10 +75,6 @@ class TestSigmoid:
     def test_saturates_cleanly(self):
         assert sigmoid_prob(1e9, CC) == 1.0
         assert sigmoid_prob(-1e9, CC) == 0.0
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            SigmoidParams(0.0, 1.0)
 
 
 class TestClutterProb:
