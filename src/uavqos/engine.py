@@ -25,6 +25,7 @@ from .cell import (
 )
 from .fsm import (
     LOW_LATENCY,
+    LOW_RISK,
     Q1,
     Q3,
     STOCHASTIC,
@@ -178,7 +179,7 @@ class Simulation:
         self._bg_flushed = False
         self.p_lat = 0.0
         self.p_cs = 0.0
-        self.signals = SignalSet(LOW_LATENCY, "LR")
+        self.signals = SignalSet(LOW_LATENCY, LOW_RISK)
         self.rtt_last = 0.0
 
     # -- callbacks -----------------------------------------------------
@@ -198,12 +199,6 @@ class Simulation:
             if t_ms < seg.until_ms:
                 return seg
         return self.cfg.environment[-1]
-
-    def _apply_qos(self, enabled: bool):
-        # the accumulated weight is kept; the next TTI grows it by the
-        # new slope
-        self.uav_flow.priority_slope = self.cfg.pfsm.qos_slope if enabled \
-            else self.cfg.pfsm.default_slope
 
     def _run_rate_adaptation(self, adapting: bool, low_latency: bool, t_ms):
         """Step the camera rate down while adapting, or back up while the
@@ -348,23 +343,25 @@ class Simulation:
         seg = self._environment_target(t)
         sample = spaciousness(synth_point_cloud(
             seg.spaciousness_m, self.rng_env, noise_std=seg.noise_std))
-        self.risk_s, level = risk_update(self.risk_s, sample, pf)
+        self.risk_s = risk_update(self.risk_s, sample, pf)
 
         t1 = window_mean(self.cam_window)
         t2 = window_mean(self.cc_window)
         if t1 is not None and t2 is not None:
             self.p_lat = latency_condition(t1, t2, pf)
         self.p_cs = clutter_prob(self.risk_s, pf.risk_sigmoid)
-        link_ok = (t - self.last_rtt_arrival) <= pf.link_lost_timeout_ms
-        self.signals = emit_signals(self.p_lat, level, link_ok,
-                                    pf.latency_threshold, pf.mode,
+        self.signals = emit_signals(self.p_lat, self.p_cs, self.risk_s,
+                                    t - self.last_rtt_arrival, pf,
                                     self.rng_pfsm)
         if self.supervisor is None:
             return
 
         event = self.supervisor.evaluate(
             self.signals, at_rate_floor=self.cam_rate_req <= pf.rate_floor_bps)
-        self._apply_qos(event.action.qos_enabled)
+        # the accumulated weight is kept; the next TTI grows it by the
+        # new slope
+        self.uav_flow.priority_slope = pf.qos_slope \
+            if event.action.qos_enabled else pf.default_slope
         offload = event.action.offload
         if offload == (self.hold_point is not None):    # the mode flips
             self.camera.set_active(offload, t)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .sensing import HIGH_RISK, LOW_RISK, MIDDLE_RISK
+from .cell import SimulationContractError
 
 Q1, Q2, Q3, Q4, Q5, Q6, QA = "q1", "q2", "q3", "q4", "q5", "q6", "qA"
 STATES = (Q1, Q2, Q3, Q4, Q5, Q6, QA)
@@ -27,8 +27,13 @@ STATES = (Q1, Q2, Q3, Q4, Q5, Q6, QA)
 LOW_LATENCY = "LL"
 HIGH_LATENCY = "HL"
 LINK_LOST = "LINK_LOST"
+HIGH_RISK = "HR"
+MIDDLE_RISK = "MR"
+LOW_RISK = "LR"
 
-DETERMINISTIC = "deterministic"
+# spaciousness (m) at or below which a risk that is not high is middle
+MR_THRESHOLD_M = 5.0
+
 STOCHASTIC = "stochastic"
 
 # State -> allowed successor set, kept verbatim (q5 deliberately cannot
@@ -42,15 +47,6 @@ SUCCESSORS = {
     Q6: frozenset({Q6, Q1, QA}),
     QA: frozenset({QA, Q1}),
 }
-
-
-class TransitionFault(Exception):
-    """A (state, signals) pair fell outside the guard map."""
-
-    def __init__(self, state, signals, message):
-        super().__init__(f"{message} (state={state}, signals={signals})")
-        self.state = state
-        self.signals = signals
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def _guard(state, sig, hl_persistent, escalate_ok, at_rate_floor):
         if not sig.link_lost and ll:
             return Q1
         return QA
-    raise TransitionFault(state, sig, "unknown state")
+    raise SimulationContractError(f"unknown state {state} (signals {sig})")
 
 
 def transition(current: str, signals: SignalSet, *,
@@ -158,30 +154,39 @@ def transition(current: str, signals: SignalSet, *,
     `hl_persistent` marks the high-latency flag as held across consecutive
     evaluations, `escalate_ok` that the post-engagement grace has elapsed,
     and `at_rate_floor` that rate adaptation has exhausted its range; the
-    caller owns this context. An unknown state raises `TransitionFault`.
+    caller owns this context. An unknown state or a step outside
+    `SUCCESSORS` raises `SimulationContractError`.
     """
     nxt = _guard(current, signals, hl_persistent, escalate_ok, at_rate_floor)
     if nxt not in SUCCESSORS[current]:
-        raise TransitionFault(current, signals,
-                              f"illegal transition to {nxt}")
+        raise SimulationContractError(
+            f"illegal transition {current} -> {nxt} (signals {signals})")
     return nxt
 
 
-def emit_signals(p_lat: float, risk_level: str, link_ok: bool,
-                 th_lat: float, mode: str = DETERMINISTIC,
-                 rng=None) -> SignalSet:
-    """Derive the transition signals from the latency probability.
+def emit_signals(p_lat: float, p_cs: float, s_k: float, rtt_age_ms: float,
+                 pf, rng=None) -> SignalSet:
+    """Derive the transition signals under the thresholds of PFSM config `pf`.
 
     Deterministic mode thresholds the latency probability; stochastic mode
     asserts HL with probability p_lat through a draw from `rng`, a numpy
-    Generator. The risk flag always comes from the band classification.
+    Generator. Risk is high when the clutter probability `p_cs` reaches
+    the clutter threshold, else middle when the filtered spaciousness
+    `s_k` is at or below MR_THRESHOLD_M, else low. The link is lost once
+    the last round trip is older than the link-lost timeout.
     """
-    if mode == STOCHASTIC:
+    if pf.mode == STOCHASTIC:
         hl = bool(rng.random() < p_lat)
     else:
-        hl = p_lat >= th_lat
-    return SignalSet(HIGH_LATENCY if hl else LOW_LATENCY, risk_level,
-                     link_lost=not link_ok)
+        hl = p_lat >= pf.latency_threshold
+    if p_cs >= pf.clutter_threshold:
+        risk = HIGH_RISK
+    elif s_k <= MR_THRESHOLD_M:
+        risk = MIDDLE_RISK
+    else:
+        risk = LOW_RISK
+    return SignalSet(HIGH_LATENCY if hl else LOW_LATENCY, risk,
+                     link_lost=rtt_age_ms > pf.link_lost_timeout_ms)
 
 
 def rate_adapt_step(current_rate: float, nominal: float, floor: float,

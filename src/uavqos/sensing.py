@@ -2,10 +2,10 @@
 
 Turns raw observations (per-frame camera delivery delay, control round-trip
 samples, synthetic point clouds held as the ranges of their points) into
-the probabilities and risk bands the state machine consumes: logistic
+the numbers the state machine's signals are derived from: logistic
 transition probabilities, sliding-window latency means, a weighted latency
-condition, and an EMA-filtered spaciousness estimate whose clutter
-probability sets the high-risk band.
+condition, and an EMA-filtered spaciousness estimate with its clutter
+probability.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ import numpy as np
 
 from .scenario import SigmoidParams
 
-HIGH_RISK = "HR"
-MIDDLE_RISK = "MR"
-LOW_RISK = "LR"
-
-# spaciousness (m) at or below which a risk that is not high is middle
-MR_THRESHOLD_M = 5.0
 # points in one synthetic point cloud
 N_POINTS = 256
 
@@ -84,22 +78,13 @@ def synth_point_cloud(target_s: float, rng: np.random.Generator,
     return ranges
 
 
-def risk_update(s: Optional[float], sample_s: float,
-                pf) -> tuple[float, str]:
+def risk_update(s: Optional[float], sample_s: float, pf) -> float:
     """Fold one spaciousness sample into the EMA `s` with the coefficients
-    of the PFSM config `pf`, and classify the band: high risk when the
-    clutter probability of the estimate reaches `pf.clutter_threshold`,
-    else middle risk at or below MR_THRESHOLD_M, else low risk.
+    of the PFSM config `pf`.
 
     The filter is seeded with the first sample (`s` is None) so startup
     does not fabricate a high-risk episode from an arbitrary initial value.
     """
     if s is None:
-        s = float(sample_s)
-    else:
-        s = pf.ema_alpha * s + pf.ema_beta * sample_s
-    if clutter_prob(s, pf.risk_sigmoid) >= pf.clutter_threshold:
-        return s, HIGH_RISK
-    if s <= MR_THRESHOLD_M:
-        return s, MIDDLE_RISK
-    return s, LOW_RISK
+        return float(sample_s)
+    return pf.ema_alpha * s + pf.ema_beta * sample_s

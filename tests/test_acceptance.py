@@ -20,6 +20,9 @@ from uavqos.cell import CellModel, PacedSource, PeriodicSource
 from uavqos.engine import Simulation, run
 from uavqos.fsm import (
     HIGH_LATENCY,
+    HIGH_RISK,
+    LOW_RISK,
+    MIDDLE_RISK,
     Q1,
     Q3,
     QA,
@@ -39,9 +42,7 @@ from uavqos.scenario import (
 )
 from uavqos.scheduler import BACKGROUND, UPLINK, QosFlow
 from uavqos.sensing import (
-    HIGH_RISK,
-    LOW_RISK,
-    MIDDLE_RISK,
+    clutter_prob,
     risk_update,
     sigmoid_prob,
     window_mean,
@@ -55,10 +56,12 @@ BG_OFFERED = 80e6
 @pytest.fixture(scope="module")
 def baseline_run():
     cfg = make_config("no_qos_no_bg")
-    t0 = time.perf_counter()
+    # the run's own CPU seconds: it is single-threaded and CPU-bound, and
+    # wall-clock time would follow the host's load
+    t0 = time.process_time()
     traces, summary = run(cfg)
-    wall = time.perf_counter() - t0
-    return traces, summary, wall
+    cpu = time.process_time() - t0
+    return traces, summary, cpu
 
 
 @pytest.fixture(scope="module")
@@ -209,16 +212,16 @@ def steady(traces, t_from, t_to=math.inf):
 
 
 def test_criterion_1_baseline_scenario(baseline_run):
-    traces, summary, wall = baseline_run
+    traces, summary, cpu = baseline_run
     rows = steady(traces, 5_000.0)
     mean_rtt = statistics.mean(r.rtt for r in rows)
     mean_uav = statistics.mean(r.uav_goodput for r in rows)
     assert abs(mean_rtt - 27.3) <= 1.0
     assert abs(mean_uav - 47.0) <= 1.0
-    assert wall < 5.0
+    assert cpu < 5.0
     print(f"\nACCEPTANCE 1 PASS: no_qos_no_bg rtt={mean_rtt:.2f} ms "
           f"(27.3±1), uav={mean_uav:.2f} Mbps (47±1), "
-          f"runtime {wall:.2f} s (<5 s)")
+          f"CPU time {cpu:.2f} s (<5 s)")
 
 
 def test_criterion_2_overload_scenario(overload_run):
@@ -369,11 +372,13 @@ def test_criterion_6_sensing_units():
     pf = PfsmConfig()           # EMA 0.8/0.2, clutter threshold 0.5
     s, target = 9.0, 2.5
     for k in range(1, 40):
-        s, _ = risk_update(s, target, pf)
+        s = risk_update(s, target, pf)
         assert abs(abs(s - target) - 0.8 ** k * abs(9.0 - target)) <= 1e-9
     for x in np.linspace(0.0, 12.0, 500):
-        s, level = risk_update(None, float(x), pf)
+        s = risk_update(None, float(x), pf)
         assert s == x                   # seeded by the first sample
+        level = emit_signals(0.0, clutter_prob(s, pf.risk_sigmoid), s, 0.0,
+                             pf).risk
         bands = [s <= 3.0, 3.0 < s <= 5.0, s > 5.0]
         assert bands.count(True) == 1
         assert level == (HIGH_RISK, MIDDLE_RISK, LOW_RISK)[bands.index(True)]
@@ -400,8 +405,9 @@ def test_criterion_7_pfsm_structure(dynamic_run):
 
     rng = np.random.default_rng(2024)
     n = 100_000
-    hits = sum(emit_signals(0.5, LOW_RISK, True, 0.75, STOCHASTIC,
-                            rng).latency == HIGH_LATENCY for _ in range(n))
+    pf = PfsmConfig(mode=STOCHASTIC)
+    hits = sum(emit_signals(0.5, 0.0, 6.0, 0.0, pf, rng).latency
+               == HIGH_LATENCY for _ in range(n))
     assert abs(hits / n - 0.5) <= 0.01
     print(f"\nACCEPTANCE 7 PASS: every trace transition inside the published "
           f"successor sets, replay digests identical, stochastic HL "

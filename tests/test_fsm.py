@@ -1,15 +1,21 @@
 """State machine structure and supervisor behavior tests."""
 
+import math
+import struct
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from uavqos.cell import SimulationContractError
 from uavqos.fsm import (
     HIGH_LATENCY,
+    HIGH_RISK,
     LOW_LATENCY,
+    LOW_RISK,
+    MIDDLE_RISK,
     Q1,
     Q2,
     Q3,
@@ -22,21 +28,43 @@ from uavqos.fsm import (
     QosSupervisor,
     SignalSet,
     SUCCESSORS,
-    TransitionFault,
     _ACTIONS,
     SupervisorEvent,
     emit_signals,
     rate_adapt_step,
     transition,
 )
-from uavqos.scenario import PfsmConfig
-from uavqos.sensing import HIGH_RISK, LOW_RISK, MIDDLE_RISK
+from uavqos.scenario import PfsmConfig, SigmoidParams
+from uavqos.sensing import clutter_prob, risk_update
 
 PF = PfsmConfig()
 
 
 def sig(latency, risk, lost=False):
     return SignalSet(latency, risk, lost)
+
+
+def signals(p_lat, s, rtt_age_ms=0.0, pf=PF, rng=None):
+    """`emit_signals` fed the clutter probability of the filtered
+    spaciousness `s` and `s` itself, as the engine feeds it."""
+    return emit_signals(p_lat, clutter_prob(s, pf.risk_sigmoid), s,
+                        rtt_age_ms, pf, rng)
+
+
+def fixed_band(s):
+    """The band rule with fixed edges: high risk at or below 3 m, middle
+    at or below 5 m, low above."""
+    if s <= 3.0:
+        return HIGH_RISK
+    if s <= 5.0:
+        return MIDDLE_RISK
+    return LOW_RISK
+
+
+def ulps_from_three(k):
+    """The double k units in the last place away from 3.0."""
+    bits = struct.unpack("<q", struct.pack("<d", 3.0))[0]
+    return struct.unpack("<d", struct.pack("<q", bits + k))[0]
 
 
 class DequeSupervisor:
@@ -122,7 +150,7 @@ class TestActions:
     def test_unknown_state_is_structured_fault(self):
         sup = QosSupervisor(PF.hl_persist_evals, PF.escalation_grace_evals)
         sup.state = "q9"
-        with pytest.raises(TransitionFault):
+        with pytest.raises(SimulationContractError, match="unknown state"):
             sup.evaluate(sig(LOW_LATENCY, LOW_RISK))
 
 
@@ -170,7 +198,7 @@ class TestTransitions:
                               at_rate_floor=True) == QA
 
     def test_unknown_state_raises(self):
-        with pytest.raises(TransitionFault):
+        with pytest.raises(SimulationContractError, match="unknown state q0"):
             transition("q0", sig(LOW_LATENCY, LOW_RISK))
 
     @pytest.mark.parametrize("start,max_steps", [
@@ -192,24 +220,67 @@ class TestTransitions:
 
 
 class TestEmitSignals:
+    # defaults: latency threshold 0.75, risk curve steepness 5 and
+    # midpoint 3, clutter threshold 0.5, link-lost timeout 500 ms
+
     def test_deterministic_thresholding(self):
-        s = emit_signals(0.99, MIDDLE_RISK, link_ok=True, th_lat=0.75)
-        assert s.flags == {"HL", "MR"}
-        s = emit_signals(0.01, LOW_RISK, link_ok=True, th_lat=0.75)
-        assert s.flags == {"LL", "LR"}
+        assert signals(0.99, 4.0).flags == {"HL", "MR"}
+        assert signals(0.01, 6.0).flags == {"LL", "LR"}
 
     def test_link_loss_flag(self):
-        s = emit_signals(0.5, LOW_RISK, link_ok=False, th_lat=0.75)
-        assert s.link_lost
+        assert signals(0.5, 6.0, rtt_age_ms=500.1).link_lost
+        assert not signals(0.5, 6.0, rtt_age_ms=500.0).link_lost
 
     def test_stochastic_frequency(self):
         rng = np.random.default_rng(1234)
+        pf = PfsmConfig(mode=STOCHASTIC)
         n = 100_000
-        hits = sum(
-            emit_signals(0.5, LOW_RISK, True, 0.75, STOCHASTIC,
-                         rng).latency == HIGH_LATENCY
-            for _ in range(n))
+        hits = sum(signals(0.5, 6.0, pf=pf, rng=rng).latency == HIGH_LATENCY
+                   for _ in range(n))
         assert hits / n == pytest.approx(0.5, abs=0.01)
+
+    def test_fixed_point_high_risk(self):
+        s = risk_update(2.0, 2.0, PF)
+        assert s == 2.0 and signals(0.0, s).risk == HIGH_RISK
+
+    def test_fixed_point_middle_risk(self):
+        s = risk_update(4.0, 4.0, PF)
+        assert s == 4.0 and signals(0.0, s).risk == MIDDLE_RISK
+
+    def test_step_response_crosses_band_at_seventh_sample(self):
+        # s_n = 2 + 4 * 0.8^n starting from 6 with constant input 2
+        s = 6.0
+        levels = []
+        for n in range(1, 10):
+            s = risk_update(s, 2.0, PF)
+            assert s == pytest.approx(2.0 + 4.0 * 0.8 ** n, abs=1e-12)
+            levels.append(signals(0.0, s).risk)
+        first_hr = levels.index(HIGH_RISK) + 1
+        assert first_hr == 7
+
+    @given(st.one_of(st.floats(0.0, 1e6),
+                     st.integers(-2000, 2000).map(ulps_from_three)))
+    @example(3.0)
+    @example(ulps_from_three(1))
+    @example(ulps_from_three(-1))
+    @example(5.0)
+    @example(math.nextafter(5.0, math.inf))
+    def test_band_partition_total(self, s):
+        # on the bundled curve the clutter threshold gives the fixed bands,
+        # down to the ulps around 3 m
+        matches = [s <= 3.0, 3.0 < s <= 5.0, s > 5.0]
+        assert matches.count(True) == 1
+        assert signals(0.0, s).risk == fixed_band(s)
+
+    def test_curve_and_threshold_move_the_band(self):
+        later = PfsmConfig(risk_sigmoid=SigmoidParams(5.0, 4.0))
+        assert [signals(0.0, s, pf=later).risk for s in (3.5, 4.0, 4.5)] \
+            == [HIGH_RISK, HIGH_RISK, MIDDLE_RISK]
+        # P_cs >= 0.9 holds up to 3 - ln(9) / 5 = 2.56 m
+        strict = PfsmConfig(clutter_threshold=0.9)
+        assert [signals(0.0, s, pf=strict).risk for s in (2.5, 2.6, 2.8)] \
+            == [HIGH_RISK, MIDDLE_RISK, MIDDLE_RISK]
+        assert fixed_band(2.8) == HIGH_RISK
 
 
 class TestRateAdaptStep:
@@ -306,8 +377,7 @@ class TestSupervisor:
             rng = np.random.default_rng(7)
             out = []
             for _ in range(300):
-                ev = sup.evaluate(emit_signals(float(rng.random()),
-                                               MIDDLE_RISK, True, 0.75))
+                ev = sup.evaluate(signals(float(rng.random()), 4.0))
                 out.append((ev.state, ev.action))
             return out
 

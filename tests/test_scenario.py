@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config, raw_scenario
+from uavqos import engine, fsm, sensing
 from uavqos.engine import TraceRecord, run
 from uavqos.output import emit, summary_json, trace_csv_lines
 from uavqos.scenario import (
@@ -409,6 +410,19 @@ print("numpy.random" in sys.modules)
         assert len(signals["stochastic"]) == 300
         assert signals["deterministic"] != signals["stochastic"]
 
+    def test_one_clutter_probability_per_evaluation(self, monkeypatch):
+        # the engine computes P_cs once and emit_signals reads it; the
+        # filter in sensing computes none
+        calls = []
+        for module in (engine, sensing):
+            def counted(*args, _original=module.clutter_prob):
+                calls.append(args)
+                return _original(*args)
+            monkeypatch.setattr(module, "clutter_prob", counted)
+        cfg = make_config("dynamic_qos_bg", duration_ms=1_000.0)
+        run(cfg)
+        assert len(calls) == cfg.duration_ms / cfg.pfsm.eval_period_ms
+
     def test_stochastic_mode_runs_and_replays(self):
         raw = raw_scenario("dynamic_qos_bg")
         raw["duration_ms"] = 5_000.0
@@ -605,6 +619,24 @@ class TestCli:
         assert "unstable at" in capsys.readouterr().out
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stability"] == "unstable"
+
+    def test_illegal_transition_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a guard that steps q1 -> qA, outside the successor table, is a
+        # contract violation: exit 2 with one line, not a traceback
+        from uavqos import cli
+
+        guard = fsm._guard
+        monkeypatch.setattr(fsm, "_guard", lambda state, *rest: fsm.QA
+                            if state == fsm.Q1 else guard(state, *rest))
+        raw = raw_scenario("dynamic_qos_bg")
+        raw["duration_ms"] = 1_000.0
+        path = tmp_path / "dyn.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "contract violation: illegal transition q1 -> qA ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_run_rejects_non_finite_number_with_path(self, tmp_path):
         nan = tmp_path / "nan.yaml"

@@ -2,12 +2,11 @@
 
 Expected values are either trivial arithmetic or recomputed in-test with an
 independent formulation (math.exp directly, brute-force loops over raw
-samples, explicit EMA iteration, the fixed band edges).
+samples, explicit EMA iteration).
 """
 
 import math
 import random
-import struct
 from collections import deque
 
 import numpy as np
@@ -19,9 +18,6 @@ from conftest import raw_scenario
 from uavqos.scenario import ConfigError, PfsmConfig, SigmoidParams, \
     parse_config
 from uavqos.sensing import (
-    HIGH_RISK,
-    LOW_RISK,
-    MIDDLE_RISK,
     N_POINTS,
     clutter_prob,
     latency_condition,
@@ -166,45 +162,9 @@ class TestSpaciousness:
         assert np.array_equal(a, b)
 
 
-def fixed_band(s):
-    """The band rule with fixed edges: high risk at or below 3 m, middle
-    at or below 5 m, low above."""
-    if s <= 3.0:
-        return HIGH_RISK
-    if s <= 5.0:
-        return MIDDLE_RISK
-    return LOW_RISK
-
-
-def ulps_from_three(k):
-    """The double k units in the last place away from 3.0."""
-    bits = struct.unpack("<q", struct.pack("<d", 3.0))[0]
-    return struct.unpack("<d", struct.pack("<q", bits + k))[0]
-
-
 class TestRiskUpdate:
-    # defaults: EMA 0.8/0.2, risk curve steepness 5 and midpoint 3,
-    # clutter threshold 0.5
+    # defaults: EMA 0.8/0.2
     PF = PfsmConfig()
-
-    def test_fixed_point_high_risk(self):
-        s, level = risk_update(2.0, 2.0, self.PF)
-        assert s == 2.0 and level == HIGH_RISK
-
-    def test_fixed_point_middle_risk(self):
-        s, level = risk_update(4.0, 4.0, self.PF)
-        assert s == 4.0 and level == MIDDLE_RISK
-
-    def test_step_response_crosses_band_at_seventh_sample(self):
-        # s_n = 2 + 4 * 0.8^n starting from 6 with constant input 2
-        s = 6.0
-        levels = []
-        for n in range(1, 10):
-            s, level = risk_update(s, 2.0, self.PF)
-            assert s == pytest.approx(2.0 + 4.0 * 0.8 ** n, abs=1e-12)
-            levels.append(level)
-        first_hr = levels.index(HIGH_RISK) + 1
-        assert first_hr == 7
 
     @given(st.floats(0.01, 0.99), st.floats(0.0, 50.0), st.floats(0.0, 50.0),
            st.integers(1, 60))
@@ -213,38 +173,14 @@ class TestRiskUpdate:
         pf = PfsmConfig(ema_alpha=alpha, ema_beta=1.0 - alpha)
         s = s0
         for _ in range(k):
-            s, _ = risk_update(s, target, pf)
+            s = risk_update(s, target, pf)
         assert abs(s - target) == pytest.approx(
             alpha ** k * abs(s0 - target), abs=1e-9 * max(1.0, s0, target))
 
     def test_seeded_by_first_sample(self):
-        s, level = risk_update(None, 4.0, self.PF)
-        assert s == 4.0 and level == MIDDLE_RISK
-
-    @given(st.one_of(st.floats(0.0, 1e6),
-                     st.integers(-2000, 2000).map(ulps_from_three)))
-    @example(3.0)
-    @example(ulps_from_three(1))
-    @example(ulps_from_three(-1))
-    @example(5.0)
-    @example(math.nextafter(5.0, math.inf))
-    def test_band_partition_total(self, s):
-        # on the bundled curve the clutter threshold gives the fixed bands,
-        # down to the ulps around 3 m
-        s, level = risk_update(s, s, self.PF)
-        matches = [s <= 3.0, 3.0 < s <= 5.0, s > 5.0]
-        assert matches.count(True) == 1
-        assert level == fixed_band(s)
-
-    def test_curve_and_threshold_move_the_band(self):
-        later = PfsmConfig(risk_sigmoid=SigmoidParams(5.0, 4.0))
-        assert [risk_update(None, s, later)[1] for s in (3.5, 4.0, 4.5)] \
-            == [HIGH_RISK, HIGH_RISK, MIDDLE_RISK]
-        # P_cs >= 0.9 holds up to 3 - ln(9) / 5 = 2.56 m
-        strict = PfsmConfig(clutter_threshold=0.9)
-        assert [risk_update(None, s, strict)[1] for s in (2.5, 2.6, 2.8)] \
-            == [HIGH_RISK, MIDDLE_RISK, MIDDLE_RISK]
-        assert fixed_band(2.8) == HIGH_RISK
+        assert risk_update(None, 4.0, self.PF) == 4.0
+        # the seed is a float, so later updates are float arithmetic
+        assert type(risk_update(None, 4, self.PF)) is float
 
     def test_rejects_inconsistent_coefficients(self):
         # the loader owns the rule that the EMA coefficients sum to 1
